@@ -3,7 +3,7 @@
 
 GO ?= go
 
-# Coverage floor (%) enforced on the concurrency-critical packages.
+# Coverage floor (%) enforced on the cache, loader and job-service packages.
 COVER_FLOOR ?= 70
 COVER_PKGS  ?= internal/cache internal/loader internal/server internal/query internal/wal internal/memo internal/obs
 
@@ -11,7 +11,7 @@ COVER_PKGS  ?= internal/cache internal/loader internal/server internal/query int
 # binaries); git-ignored, removed by clean.
 BUILD_DIR ?= build
 
-.PHONY: all build test cover lint bench benchjson bench2 bench3 bench4 bench5 allocguard profile suite speccheck querycheck servesmoke distsmoke crashsmoke memosmoke tracesmoke experiments-md clean
+.PHONY: all build test cover lint bench bench3 bench4 bench5 allocguard profile suite speccheck querycheck servesmoke distsmoke crashsmoke memosmoke tracesmoke experiments-md clean
 
 all: lint build test
 
@@ -23,9 +23,8 @@ build:
 test:
 	$(GO) test -race -count=2 ./...
 
-# Per-package coverage floor on the packages the concurrent pipeline and
-# the job service live in; a refactor that strands their tests fails here,
-# not in review. Profiles land in $(BUILD_DIR), not the repo root.
+# Per-package coverage floor on the cache, loader and job-service
+# packages; a refactor that strands their tests fails here, not in review. Profiles land in $(BUILD_DIR), not the repo root.
 cover:
 	@mkdir -p $(BUILD_DIR)
 	@set -e; for pkg in $(COVER_PKGS); do \
@@ -48,19 +47,6 @@ lint:
 # of the full reproduction harness.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
-
-# Concurrent-loader benchmark: sharded vs single-mutex lookup throughput and
-# pipeline epoch wall time at 1/2/4/8 workers, written to BENCH_1.json.
-benchjson:
-	$(GO) run ./cmd/stallbench -bench -bench-out BENCH_1.json
-
-# Old-vs-new hot-path comparison: event dispatch on the frozen boxed-heap
-# engine vs the slice-heap engine (goroutine and callback flavours), the
-# cache fetch loop on map-backed vs dense MinIO, and full-suite wall time,
-# written to BENCH_2.json. Allocation counts are host-independent, so the
-# reduction ratios are comparable across machines.
-bench2:
-	$(GO) run ./cmd/stallbench -bench2 -bench2-out BENCH_2.json
 
 # Zero-allocation guards on the hot paths (steady-state cache Lookup, page
 # cache churn, sim event dispatch). Run WITHOUT -race: the detector

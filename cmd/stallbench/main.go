@@ -1,11 +1,9 @@
 // Command stallbench reproduces the paper's tables and figures, and
-// benchmarks the simulator and loader hot paths.
+// benchmarks the job service, coordinator mode and result memoization.
 //
 //	stallbench -list
 //	stallbench -run fig2
 //	stallbench -run all -parallel 8 -scale 0.01 > results.txt
-//	stallbench -bench -bench-out BENCH_1.json
-//	stallbench -bench2 -bench2-out BENCH_2.json
 //	stallbench -bench3 -bench3-out BENCH_3.json
 //	stallbench -bench4 -bench4-out BENCH_4.json
 //	stallbench -bench5 -bench5-out BENCH_5.json
@@ -17,17 +15,6 @@
 // the shared orchestrator; output stays in experiment ID order (and is
 // byte-identical for any -parallel at a given -seed), with per-experiment
 // wall clocks reported on stderr.
-//
-// -bench measures the concurrent data-loading pipeline on the host (real
-// goroutines, not the simulator): sharded vs single-mutex cache lookup
-// throughput and pipeline epoch wall time at 1/2/4/8 workers, written as
-// JSON to -bench-out (BENCH_1.json in the perf trajectory).
-//
-// -bench2 measures the zero-allocation hot paths old-vs-new: event
-// scheduling/dispatch on the frozen pre-rewrite engine vs the slice-backed
-// heap (goroutine and callback process flavours), the cache fetch loop on
-// the map-backed vs dense MinIO, and full-suite wall time, written as JSON
-// to -bench2-out (BENCH_2.json).
 //
 // -bench3 measures the stallserved HTTP job service end to end: the POST
 // /v1/jobs submit -> worker -> terminal-status round trip for a small job,
@@ -76,10 +63,6 @@ func run() int {
 	epochs := flag.Int("epochs", 0, "epochs per training run (0 = default 3)")
 	seed := flag.Int64("seed", 0, "simulation seed")
 	parallel := flag.Int("parallel", 0, "workers for -run all (0 = one per CPU)")
-	bench := flag.Bool("bench", false, "benchmark the concurrent loader backend")
-	benchOut := flag.String("bench-out", "BENCH_1.json", "output file for -bench results")
-	bench2 := flag.Bool("bench2", false, "benchmark zero-alloc hot paths old-vs-new (engine, cache, suite)")
-	bench2Out := flag.String("bench2-out", "BENCH_2.json", "output file for -bench2 results")
 	bench3 := flag.Bool("bench3", false, "benchmark the HTTP job service (submit latency, event fan-out)")
 	bench3Out := flag.String("bench3-out", "BENCH_3.json", "output file for -bench3 results")
 	bench4 := flag.Bool("bench4", false, "benchmark coordinator-mode case throughput at 1/2/4 fleet workers")
@@ -131,10 +114,6 @@ func run() int {
 			fmt.Printf("%-18s   paper: %s\n", "", e.Paper)
 		}
 		return 0
-	case *bench:
-		return runBench(*benchOut)
-	case *bench2:
-		return runBench2(*bench2Out)
 	case *bench3:
 		return runBench3(*bench3Out)
 	case *bench4:

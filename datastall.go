@@ -44,9 +44,8 @@
 //     report, -md regenerates EXPERIMENTS.md, -ids selects a subset. CI runs
 //     "make suite" (this binary) and uploads the JSON report as an artifact.
 //   - stallbench: single experiments, or -run all through the same
-//     orchestrator; -bench measures the concurrent loader backend (sharded
-//     vs single-mutex cache throughput, pipeline epoch wall time) and
-//     writes BENCH_1.json.
+//     orchestrator; -bench3/-bench4/-bench5 measure the job service,
+//     coordinator mode and result memoization.
 //   - dsanalyzer: differential stall profiles and what-if questions for one
 //     model, or every model concurrently with -model all.
 //   - coordlsim: one training job, epoch by epoch, under a chosen loader.
@@ -60,11 +59,10 @@
 // stall fractions, speedups — is preserved. The full-suite output is pinned
 // by golden_test.go against testdata/golden-suite.json.
 //
-// Besides the analytic simulation, trainer jobs can run on a concurrent
-// backend (trainer.Config.Backend = BackendConcurrent) that executes the
-// data-loading path on real goroutines: a bounded-channel fetch->prep
-// pipeline per server over lock-striped sharded caches. See README.md for
-// the concurrency model and the backend-equivalence property tests.
+// Every job has one executor, the discrete-event simulation: a job's
+// reported times are simulated seconds from the hardware model, never host
+// wall clock. Parallelism lives above the simulation: the suite worker pool and
+// the job service run independent simulations side by side.
 package datastall
 
 import (

@@ -54,8 +54,7 @@ func TestDenseMinIOMatchesMap(t *testing.T) {
 
 // TestDenseMinIOEpochEquivalence drives whole seeded epochs (the MinIO
 // fetch loop: lookup, insert on miss) through both implementations and
-// requires identical per-epoch hit/miss counts — the benchmark-equivalence
-// surface BENCH_2.json's cache comparison rests on.
+// requires identical per-epoch hit/miss counts.
 func TestDenseMinIOEpochEquivalence(t *testing.T) {
 	const items = 2048
 	for _, seed := range []int64{3, 11} {
@@ -111,3 +110,76 @@ func TestAllocsMinIOLookup(t *testing.T) {
 		t.Fatalf("steady-state MinIO lookup+insert allocates %v per 512 accesses, want 0", avg)
 	}
 }
+
+var _ Cache = (*MapMinIO)(nil)
+
+// MapMinIO is the original map-backed MinIO implementation, retained as
+// the reference model (with the same negative-ID guard the dense MinIO
+// applies): the equivalence tests replay identical op sequences through it
+// and the dense MinIO.
+type MapMinIO struct {
+	capBytes  float64
+	usedBytes float64
+	items     map[dataset.ItemID]float64
+
+	hits, misses int64
+	rejected     int64
+}
+
+// NewMapMinIO returns an empty map-backed MinIO cache.
+func NewMapMinIO(capBytes float64) *MapMinIO {
+	return &MapMinIO{capBytes: capBytes, items: make(map[dataset.ItemID]float64)}
+}
+
+// Lookup implements Cache.
+func (m *MapMinIO) Lookup(id dataset.ItemID) bool {
+	if _, ok := m.items[id]; ok {
+		m.hits++
+		return true
+	}
+	m.misses++
+	return false
+}
+
+// Insert implements Cache: first-come-first-cached, never evict.
+func (m *MapMinIO) Insert(id dataset.ItemID, bytes float64) {
+	if id < 0 {
+		return
+	}
+	if _, ok := m.items[id]; ok {
+		return
+	}
+	if m.usedBytes+bytes > m.capBytes {
+		m.rejected++
+		return
+	}
+	m.items[id] = bytes
+	m.usedBytes += bytes
+}
+
+// Contains implements Cache.
+func (m *MapMinIO) Contains(id dataset.ItemID) bool {
+	_, ok := m.items[id]
+	return ok
+}
+
+// UsedBytes implements Cache.
+func (m *MapMinIO) UsedBytes() float64 { return m.usedBytes }
+
+// CapBytes implements Cache.
+func (m *MapMinIO) CapBytes() float64 { return m.capBytes }
+
+// Hits implements Cache.
+func (m *MapMinIO) Hits() int64 { return m.hits }
+
+// Misses implements Cache.
+func (m *MapMinIO) Misses() int64 { return m.misses }
+
+// Rejected returns inserts refused because the cache was full.
+func (m *MapMinIO) Rejected() int64 { return m.rejected }
+
+// Len returns the number of cached items.
+func (m *MapMinIO) Len() int { return len(m.items) }
+
+// ResetStats implements Cache.
+func (m *MapMinIO) ResetStats() { m.hits, m.misses, m.rejected = 0, 0, 0 }

@@ -276,4 +276,50 @@ func TestCaseKeyCollapsesSyntacticVariants(t *testing.T) {
 	if k4.Hash == k1.Hash {
 		t.Fatal("salt change did not rotate the key")
 	}
+
+	// Pin the V2 preimage layout: a field added, dropped, renamed or
+	// reordered fails here, and updating this list means bumping V too.
+	wantFields := []string{
+		"v", "salt",
+		"model", "dataset", "items", "dataset_bytes", "server",
+		"servers", "gpus", "batch", "epochs", "threads_per_gpu", "prefetch_depth",
+		"framework", "gpu_prep", "loader", "fetch_mode",
+		"cache_bytes", "record_bytes",
+		"disable_remote_fetch", "seed",
+	}
+	fields, version := preimageFields(t, k1.Preimage)
+	if strings.Join(fields, ",") != strings.Join(wantFields, ",") {
+		t.Fatalf("key preimage fields\n got  %v\n want %v\nchange the layout only with a V bump", fields, wantFields)
+	}
+	if version != 2 {
+		t.Fatalf("key preimage v = %v, want 2 for this field list", version)
+	}
+}
+
+// preimageFields returns a key preimage's top-level field names in order
+// and its "v" value.
+func preimageFields(t *testing.T, preimage []byte) ([]string, float64) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(preimage))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("preimage %s is not a JSON object: %v", preimage, err)
+	}
+	var fields []string
+	var version float64
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := tok.(string)
+		fields = append(fields, name)
+		var v interface{}
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		if name == "v" {
+			version, _ = v.(float64)
+		}
+	}
+	return fields, version
 }

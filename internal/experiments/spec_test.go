@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -180,7 +181,6 @@ func TestSpecUnknownNamesFailAtRun(t *testing.T) {
 		"framework":  {Model: "resnet18", Framework: "not-a-framework"},
 		"gpu_prep":   {Model: "resnet18", GPUPrep: "sideways"},
 		"fetch_mode": {Model: "resnet18", FetchMode: "psychic"},
-		"backend":    {Model: "resnet18", Backend: "quantum"},
 		"no model":   {},
 	} {
 		sp := &Spec{
@@ -190,6 +190,30 @@ func TestSpecUnknownNamesFailAtRun(t *testing.T) {
 		}
 		if _, err := RunSpec(context.Background(), sp, Options{Scale: 0.01}); err == nil {
 			t.Errorf("%s: ran without error", name)
+		}
+	}
+}
+
+// TestSpecRejectsBackendKey: "backend" is no longer a JobSpec key, so a
+// spec that still sets it — in the base, in a case's set, or as an axis
+// param — fails the strict decode instead of silently running the one
+// executor there is.
+func TestSpecRejectsBackendKey(t *testing.T) {
+	for name, src := range map[string]string{
+		"base": `{"name":"x","base":{"model":"resnet18","backend":"analytic"},
+			"rows":{"param":"loader","values":["coordl"]},
+			"columns":[{"label":"s","metric":"epoch_s","of":"coordl"}]}`,
+		"case set": `{"name":"x","base":{"model":"resnet18"},
+			"row_header":["model"],
+			"rows":{"cases":[{"cells":["r"],"set":{"backend":"concurrent"}}]},
+			"columns":[{"label":"s","metric":"epoch_s"}]}`,
+		"axis param": `{"name":"x","base":{"model":"resnet18"},
+			"rows":{"param":"backend","values":["concurrent"]},
+			"columns":[{"label":"s","metric":"epoch_s"}]}`,
+	} {
+		_, err := LoadSpec([]byte(src))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "backend"`) {
+			t.Errorf("%s: err = %v, want an unknown-field rejection of \"backend\"", name, err)
 		}
 	}
 }

@@ -140,6 +140,7 @@ func TestSubmitRejectsBadBodies(t *testing.T) {
 		{"typed field error", `{"job": {"model": "resnet18", "scale": 0.01, "gpus": -1}}`, 400, "GPUsPerServer"},
 		{"bad spec shape", `{"spec": {"name": "x", "base": {}, "rows": {"cases": [{"set": {}}]}, "columns": []}}`, 400, "at least one column"},
 		{"trailing data", `{"spec_name": "fig5"}{"spec_name": "fig18"}`, 400, "trailing data"},
+		{"removed backend key", `{"job": {"model": "resnet18", "scale": 0.01, "backend": "concurrent"}}`, 400, `unknown field \"backend\"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -18,22 +18,10 @@ type prepped struct {
 	rawBytes float64
 }
 
-// Run executes one training job (single- or multi-server) and returns its
-// statistics.
-//
-// Deprecated-path note: Run is the legacy blocking entry point, kept as a
-// thin shim over the context-aware Job API so existing callers (and the
-// golden suite outputs) are unaffected. New code should build a trainer.Job
-// with New(...) and call Job.Run(ctx, observers...) — or use RunContext for
-// a Config it already has.
-func Run(cfg Config) (*Result, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext executes cfg like Run but honors ctx (cancellation propagates
-// into both backends) and streams typed progress events to obs. For an
-// uncancelled context and no observers it is behaviorally identical to Run:
-// same defaulting, same validation, bit-identical results.
+// RunContext executes one training job (single- or multi-server) described
+// by a Config, honoring ctx and streaming typed progress events to obs. It
+// fills zero fields with the same defaults as Job.Run and runs the same
+// simulation, so both give bit-identical results.
 func RunContext(ctx context.Context, cfg Config, obs ...Observer) (*Result, error) {
 	if cfg.Model == nil || cfg.Dataset == nil {
 		return nil, fmt.Errorf("trainer: model and dataset are required")
@@ -45,14 +33,11 @@ func RunContext(ctx context.Context, cfg Config, obs ...Observer) (*Result, erro
 	return runJob(ctx, cfg, obs)
 }
 
-// runJob executes a defaulted, validated config on its backend. It is the
-// single execution path behind Run, RunContext and Job.Run.
+// runJob simulates a defaulted, validated config. It is the single
+// execution path behind RunContext and Job.Run.
 func runJob(ctx context.Context, cfg Config, obs observers) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if cfg.Backend == BackendConcurrent {
-		return runConcurrent(ctx, cfg, obs)
 	}
 	eng := sim.New()
 	cl := cluster.Build(eng, cfg.Spec, cfg.NumServers)
@@ -77,7 +62,7 @@ func runJob(ctx context.Context, cfg Config, obs observers) (*Result, error) {
 	rt.launch()
 	rt.obs.emit(JobStarted{
 		Epochs: cfg.Epochs, Servers: cfg.NumServers,
-		GPUsPerServer: cfg.GPUsPerServer, Backend: cfg.Backend,
+		GPUsPerServer: cfg.GPUsPerServer,
 	})
 	rt.obs.emit(EpochStarted{Epoch: 0})
 	if err := eng.RunContext(ctx, sim.DefaultCancelPoll); err != nil {
@@ -133,7 +118,7 @@ type jobRuntime struct {
 	cpuTrace  *stats.TimeSeries
 
 	// obs receives typed progress events; nil-safe (emit on an empty list
-	// is a no-op), so the legacy Run path pays nothing.
+	// is a no-op), so an unobserved run pays nothing.
 	obs observers
 }
 
@@ -162,10 +147,7 @@ type epochPlan struct {
 
 // orderSource produces per-epoch visit orders for one job. It is built once
 // per job — the full-dataset shard and sampler behind it are constructed a
-// single time, not once per epoch per process — and is the sampling policy
-// shared by both backends: the analytic simulation and the concurrent
-// pipeline drive identical orders, which is what makes their cache
-// statistics comparable.
+// single time, not once per epoch per process.
 type orderSource struct {
 	cfg         Config
 	ownerShards []dataset.Shard
