@@ -2,6 +2,7 @@ package trainer
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"datastall/internal/cluster"
@@ -176,5 +177,81 @@ func TestStagingEvictionsComplete(t *testing.T) {
 	last := r.StagingTrace.Values[r.StagingTrace.Len()-1]
 	if last != 0 {
 		t.Fatalf("staging not drained at end: %v bytes", last)
+	}
+}
+
+// TestCoordinatedFailureRecoveryExact pins TestCoordinatedFailureRecovery's
+// configuration (four 1-GPU coordinated jobs, job 2 killed after three
+// batches) to exact values: the failure detector's timing, the recovery
+// producer's hand-off and every job's per-epoch accounting are compared
+// bit for bit, so a refactor of the coordinated-prep processes cannot
+// shift any of them.
+func TestCoordinatedFailureRecoveryExact(t *testing.T) {
+	d := small(dataset.OpenImages, 0.001)
+	base := Config{
+		Model: gpu.MustByName("alexnet"), Dataset: d,
+		Spec: cluster.ConfigSSDV100(), Epochs: 2,
+		CacheBytes: d.TotalBytes, Batch: 128,
+	}
+	r, err := RunConcurrentContext(context.Background(), ConcurrentConfig{
+		Base: base, NumJobs: 4, GPUsPerJob: 1, Coordinated: true,
+		KillJob: 2, KillAfterBatches: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.DetectedFailures) != 1 || r.DetectedFailures[0] != 2 {
+		t.Fatalf("detected failures %v, want [2]", r.DetectedFailures)
+	}
+	type epoch struct {
+		duration, stall, disk uint64 // math.Float64bits
+		hits, misses          int
+	}
+	want := [][]epoch{
+		{
+			{0x3ff4efad47fd584e, 0x3ff0f6e03ba3babc, 0x41c2d0af2fce7b46, 0, 512},
+			{0x3ff31c409b74701a, 0x3fee46e71e35a50f, 0x418cbb5481453520, 464, 48},
+		},
+		{
+			{0x3ff5082d47fd584e, 0x3ff10f603ba3babc, 0x41c2d0af2fce7b46, 0, 512},
+			{0x3ff2eb409b74701a, 0x3fede4e71e35a50f, 0x418cbb5481453520, 462, 50},
+		},
+		{
+			{0x3ff520ad47fd584e, 0x3ff127e03ba3babc, 0x41c2d0af2fce7b46, 0, 512},
+		},
+		{
+			{0x3ff5392d47fd584e, 0x3ff140603ba3babc, 0x41c2d0af2fce7b46, 0, 512},
+			{0x3ff2a1c09b74701a, 0x3fed51e71e35a50f, 0x418cbb5481453520, 463, 49},
+		},
+	}
+	if len(r.Jobs) != len(want) {
+		t.Fatalf("jobs %d, want %d", len(r.Jobs), len(want))
+	}
+	for j, jr := range r.Jobs {
+		if len(jr.Epochs) != len(want[j]) {
+			t.Fatalf("job %d: %d epochs, want %d", j, len(jr.Epochs), len(want[j]))
+		}
+		for e, es := range jr.Epochs {
+			got := epoch{
+				math.Float64bits(es.Duration), math.Float64bits(es.StallTime),
+				math.Float64bits(es.DiskBytes), es.Hits, es.Misses,
+			}
+			if got != want[j][e] {
+				t.Errorf("job %d epoch %d: got %#x, want %#x", j, e, got, want[j][e])
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		got  float64
+		want uint64
+	}{
+		{"TotalDiskBytes", r.TotalDiskBytes, 0x41c49c6477e2ce98},
+		{"StagingPeakBytes", r.StagingPeakBytes, 0x41c9440000000000},
+		{"ReadAmplification", r.ReadAmplification, 0x3fb645ce682db616},
+	} {
+		if math.Float64bits(c.got) != c.want {
+			t.Errorf("%s = %v (%#x), want %#x", c.name, c.got, math.Float64bits(c.got), c.want)
+		}
 	}
 }
