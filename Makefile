@@ -11,7 +11,7 @@ COVER_PKGS  ?= internal/cache internal/loader internal/server internal/query int
 # binaries); git-ignored, removed by clean.
 BUILD_DIR ?= build
 
-.PHONY: all build test cover lint bench bench3 bench4 bench5 allocguard profile suite speccheck querycheck servesmoke distsmoke crashsmoke memosmoke tracesmoke experiments-md clean
+.PHONY: all build test cover lint bench bench3 bench4 bench5 allocguard perfcheck profile suite speccheck querycheck servesmoke distsmoke crashsmoke memosmoke tracesmoke experiments-md clean
 
 all: lint build test
 
@@ -49,11 +49,19 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
 # Zero-allocation guards on the hot paths (steady-state cache Lookup, page
-# cache churn, sim event dispatch). Run WITHOUT -race: the detector
-# allocates shadow state on paths that are allocation-free in normal
-# builds, so the guards skip themselves under instrumentation.
+# cache churn, sim event dispatch, the trainer's per-batch producer path).
+# Run WITHOUT -race: the detector allocates shadow state on paths that are
+# allocation-free in normal builds, so the guards skip themselves under
+# instrumentation.
 allocguard:
-	$(GO) test -count=1 -run 'TestAllocs' ./internal/sim ./internal/cache ./internal/pagecache ./internal/obs
+	$(GO) test -count=1 -run 'TestAllocs' ./internal/sim ./internal/cache ./internal/pagecache ./internal/obs ./internal/trainer
+
+# The benchmark harness is its own Go module (perfbench/), so build/test of
+# ./... never compiles it; vet and self-test it here so an API change in
+# the simulator cannot break it unnoticed.
+perfcheck:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # CPU + allocation profiles of one serial full-suite run -> cpu.pprof,
 # mem.pprof. Inspect with `go tool pprof -top cpu.pprof` (or mem.pprof

@@ -48,10 +48,10 @@ func TestBuild(t *testing.T) {
 func TestTotalDiskBytes(t *testing.T) {
 	e := sim.New()
 	c := Build(e, ConfigSSDV100(), 2)
-	e.Go("r", func(p *sim.Proc) {
-		c.Servers[0].Disk.ReadRandom(p, 100, 1)
-		c.Servers[1].Disk.ReadRandom(p, 50, 1)
-	})
+	var ops sim.Ops
+	c.Servers[0].Disk.ReadRandom(&ops, 100, 1)
+	c.Servers[1].Disk.ReadRandom(&ops, 50, 1)
+	e.Spawn("r", func(p *sim.Proc) { ops.Run(p) })
 	e.Run()
 	if c.TotalDiskBytes() != 150 {
 		t.Fatalf("total disk bytes %v", c.TotalDiskBytes())

@@ -44,7 +44,7 @@ func NewMinIOFetcher(d *dataset.Dataset, c *cluster.Cluster, capBytes float64) *
 func (f *MinIOFetcher) CacheUsedBytes() float64 { return cache.SumUsedBytes(f.Caches) }
 
 // FetchBatch implements loader.Fetcher.
-func (f *MinIOFetcher) FetchBatch(p *sim.Proc, server int, items []dataset.ItemID) loader.FetchResult {
+func (f *MinIOFetcher) FetchBatch(ops *sim.Ops, server int, items []dataset.ItemID) loader.FetchResult {
 	var r loader.FetchResult
 	mc := f.Caches[server]
 	for _, id := range items {
@@ -60,8 +60,8 @@ func (f *MinIOFetcher) FetchBatch(p *sim.Proc, server int, items []dataset.ItemI
 		}
 	}
 	srv := f.Cluster.Servers[server]
-	srv.Disk.ReadRandom(p, r.DiskBytes, r.DiskItems)
-	srv.Mem.Read(p, r.MemBytes)
+	srv.Disk.ReadRandom(ops, r.DiskBytes, r.DiskItems)
+	srv.Mem.Read(ops, r.MemBytes)
 	return r
 }
 
@@ -73,15 +73,22 @@ type PartitionedFetcher struct {
 	Dataset *dataset.Dataset
 	Cluster *cluster.Cluster
 	Part    *cache.Partitioned
+
+	// remoteBytes / remoteItems are FetchBatch's reusable per-source-server
+	// accumulators.
+	remoteBytes []float64
+	remoteItems []int
 }
 
 // NewPartitionedFetcher shards d across the cluster's servers with capBytes
 // of MinIO cache each.
 func NewPartitionedFetcher(d *dataset.Dataset, c *cluster.Cluster, capBytes float64, seed int64) *PartitionedFetcher {
 	return &PartitionedFetcher{
-		Dataset: d,
-		Cluster: c,
-		Part:    cache.NewPartitioned(d, len(c.Servers), capBytes, seed),
+		Dataset:     d,
+		Cluster:     c,
+		Part:        cache.NewPartitioned(d, len(c.Servers), capBytes, seed),
+		remoteBytes: make([]float64, len(c.Servers)),
+		remoteItems: make([]int, len(c.Servers)),
 	}
 }
 
@@ -99,13 +106,14 @@ func (f *PartitionedFetcher) CacheUsedBytes() float64 { return f.Part.AggregateU
 // FetchBatch implements loader.Fetcher: local MinIO hit -> DRAM; remote hit
 // -> TCP from the owning server's DRAM; miss -> local storage (cached by the
 // owner only).
-func (f *PartitionedFetcher) FetchBatch(p *sim.Proc, server int, items []dataset.ItemID) loader.FetchResult {
+func (f *PartitionedFetcher) FetchBatch(ops *sim.Ops, server int, items []dataset.ItemID) loader.FetchResult {
 	var r loader.FetchResult
 	// Per-server accumulators, iterated in server order below: remote
 	// fetches must hit the NIC queues in a reproducible order or simulated
 	// timing varies run to run (map iteration order is randomized).
-	remoteBytes := make([]float64, len(f.Cluster.Servers))
-	remoteItems := make([]int, len(f.Cluster.Servers))
+	remoteBytes, remoteItems := f.remoteBytes, f.remoteItems
+	clear(remoteBytes)
+	clear(remoteItems)
 	for _, id := range items {
 		sz := f.Dataset.ItemBytes(id)
 		loc, src := f.Part.Lookup(server, id)
@@ -126,13 +134,13 @@ func (f *PartitionedFetcher) FetchBatch(p *sim.Proc, server int, items []dataset
 		}
 	}
 	srv := f.Cluster.Servers[server]
-	srv.Disk.ReadRandom(p, r.DiskBytes, r.DiskItems)
+	srv.Disk.ReadRandom(ops, r.DiskBytes, r.DiskItems)
 	for src, bytes := range remoteBytes {
 		if bytes > 0 {
-			f.Cluster.Fabric.RemoteFetch(p, server, src, bytes, remoteItems[src])
+			f.Cluster.Fabric.RemoteFetch(ops, server, src, bytes, remoteItems[src])
 		}
 	}
-	srv.Mem.Read(p, r.MemBytes)
+	srv.Mem.Read(ops, r.MemBytes)
 	return r
 }
 
@@ -152,7 +160,8 @@ type Batch struct {
 // producers expose pre-processed minibatches; each of the nJobs concurrent
 // jobs consumes every batch exactly once per epoch; a batch is evicted when
 // its use counter reaches nJobs. Capacity is bounded in bytes; producers
-// block when the area is full.
+// wait while the area is full. Every wait registers the caller on one waiter
+// list that each state change broadcasts to, and the waiter re-checks.
 type StagingArea struct {
 	eng      *sim.Engine
 	nJobs    int
@@ -162,7 +171,7 @@ type StagingArea struct {
 	dead      map[int]bool
 	usedBytes float64
 	peakBytes float64
-	cond      *sim.Cond
+	waiters   sim.WaitList
 	// epochDone counts live jobs that completed each epoch; producers
 	// gate on it so epochs complete "in a synchronized fashion by all HP
 	// jobs" (§4.3) and the staging area cannot fill with future-epoch
@@ -206,7 +215,7 @@ func (s *StagingArea) RemoveJob(job int) {
 		}
 	}
 	s.sample()
-	s.cond.Broadcast()
+	s.waiters.Broadcast()
 }
 
 // quorum reports whether every live job has consumed the slot.
@@ -232,7 +241,6 @@ func NewStagingArea(e *sim.Engine, nJobs int, capBytes float64) *StagingArea {
 		nJobs:        nJobs,
 		capBytes:     capBytes,
 		slots:        make(map[int]*slot),
-		cond:         sim.NewCond(e),
 		waitingSince: make(map[int]float64),
 		waitingFor:   make(map[int]int),
 		epochDone:    make(map[int]int),
@@ -245,40 +253,44 @@ func (s *StagingArea) LiveJobs() int { return s.nJobs - len(s.dead) }
 // JobEpochDone records that a job finished consuming an epoch.
 func (s *StagingArea) JobEpochDone(epoch int) {
 	s.epochDone[epoch]++
-	s.cond.Broadcast()
+	s.waiters.Broadcast()
 }
 
-// WaitEpochStart blocks a producer from staging epoch-e batches until every
-// live job has finished epoch e-1.
-func (s *StagingArea) WaitEpochStart(p *sim.Proc, epoch int) {
-	for epoch > 0 && s.epochDone[epoch-1] < s.LiveJobs() {
-		s.cond.Wait(p)
+// TryEpochStart reports whether a producer may stage epoch-e batches: every
+// live job has finished epoch e-1. Otherwise it registers p as a waiter and
+// reports false; p's step must return and call again when resumed.
+func (s *StagingArea) TryEpochStart(p *sim.Proc, epoch int) bool {
+	if epoch > 0 && s.epochDone[epoch-1] < s.LiveJobs() {
+		s.waiters.Add(p)
+		return false
 	}
+	return true
 }
 
-// GetAny returns any staged batch with index in [lo, hi) that job has not
-// yet consumed, preferring the lowest index, blocking until one is
-// available. Jobs may consume the epoch's minibatches in any order; each
-// exactly once (§4.3).
-func (s *StagingArea) GetAny(p *sim.Proc, job, lo, hi int) *Batch {
-	for {
-		best := -1
-		for idx, sl := range s.slots {
-			if idx >= lo && idx < hi && !sl.uses[job] {
-				if best == -1 || idx < best {
-					best = idx
-				}
+// TryGetAny consumes and returns any staged batch with index in [lo, hi)
+// that job has not yet consumed, preferring the lowest index. Jobs may
+// consume the epoch's minibatches in any order; each exactly once (§4.3).
+// When none is available it records job as waiting (for the failure
+// detector), registers p as a waiter and reports false; p's step must
+// return and call again when resumed.
+func (s *StagingArea) TryGetAny(p *sim.Proc, job, lo, hi int) (*Batch, bool) {
+	best := -1
+	for idx, sl := range s.slots {
+		if idx >= lo && idx < hi && !sl.uses[job] {
+			if best == -1 || idx < best {
+				best = idx
 			}
 		}
-		if best >= 0 {
-			return s.take(job, best)
-		}
-		if _, waiting := s.waitingSince[job]; !waiting {
-			s.waitingSince[job] = s.eng.Now()
-			s.waitingFor[job] = lo
-		}
-		s.cond.Wait(p)
 	}
+	if best >= 0 {
+		return s.take(job, best), true
+	}
+	if _, waiting := s.waitingSince[job]; !waiting {
+		s.waitingSince[job] = s.eng.Now()
+		s.waitingFor[job] = lo
+	}
+	s.waiters.Add(p)
+	return nil, false
 }
 
 // take consumes slot index on behalf of job and evicts it at quorum.
@@ -294,7 +306,7 @@ func (s *StagingArea) take(job, index int) *Batch {
 		s.usedBytes -= b.PreparedBytes
 		s.evicted++
 		s.sample()
-		s.cond.Broadcast()
+		s.waiters.Broadcast()
 	}
 	return b
 }
@@ -313,32 +325,20 @@ func (s *StagingArea) sample() {
 	}
 }
 
-// Put stages a prepared batch, blocking while the area is full.
-func (s *StagingArea) Put(p *sim.Proc, b *Batch) {
-	for s.usedBytes+b.PreparedBytes > s.capBytes && len(s.slots) > 0 {
-		s.cond.Wait(p)
+// TryPut stages a prepared batch and reports true or, while the area is
+// full, registers p as a waiter and reports false; p's step must return and
+// call again when resumed.
+func (s *StagingArea) TryPut(p *sim.Proc, b *Batch) bool {
+	if s.usedBytes+b.PreparedBytes > s.capBytes && len(s.slots) > 0 {
+		s.waiters.Add(p)
+		return false
 	}
 	s.slots[b.Index] = &slot{b: b, uses: make(map[int]bool, s.nJobs)}
 	s.usedBytes += b.PreparedBytes
 	s.produced++
 	s.sample()
-	s.cond.Broadcast()
-}
-
-// Get returns global batch index for consuming job, blocking until it has
-// been produced. Each job may consume each batch exactly once; the batch is
-// evicted once all jobs have consumed it.
-func (s *StagingArea) Get(p *sim.Proc, job, index int) *Batch {
-	for {
-		if sl, ok := s.slots[index]; ok && !sl.uses[job] {
-			return s.take(job, index)
-		}
-		if _, waiting := s.waitingSince[job]; !waiting {
-			s.waitingSince[job] = s.eng.Now()
-			s.waitingFor[job] = index
-		}
-		s.cond.Wait(p)
-	}
+	s.waiters.Broadcast()
+	return true
 }
 
 // UsedBytes returns current staged bytes; PeakBytes the high-water mark.
@@ -378,6 +378,9 @@ type FailureDetector struct {
 	// Recover is invoked once per dead job to respawn data loading for
 	// its shard.
 	Recover func(job int)
+	// Horizon is the simulated time after which the detector stops
+	// polling.
+	Horizon float64
 
 	// Detected lists jobs the detector declared dead.
 	Detected []int
@@ -385,18 +388,20 @@ type FailureDetector struct {
 	recovered map[int]bool
 }
 
-// Run polls the staging area until the simulation ends. Spawn it with
-// eng.Go; it wakes every Timeout/2.
-func (fd *FailureDetector) Run(p *sim.Proc, horizon float64) {
-	fd.recovered = make(map[int]bool)
-	for p.Now() < horizon {
-		p.Sleep(fd.Timeout / 2)
+// Run is the detector's process step: spawn it with eng.Spawn(name,
+// fd.Run). Its first step starts the clock; every later one, Timeout/2
+// apart until Horizon, declares dead — once each — the overdue owners whose
+// liveness check fails and hands each to Recover.
+func (fd *FailureDetector) Run(p *sim.Proc) {
+	if fd.recovered == nil {
+		fd.recovered = make(map[int]bool)
+	} else {
 		for _, owner := range fd.overdueOwners() {
 			if fd.recovered[owner] {
 				continue
 			}
 			if fd.Alive != nil && fd.Alive(owner) {
-				continue // spurious: broadcast retry happens via cond
+				continue // spurious: the waiter retries on the next broadcast
 			}
 			fd.recovered[owner] = true
 			fd.Detected = append(fd.Detected, owner)
@@ -405,11 +410,14 @@ func (fd *FailureDetector) Run(p *sim.Proc, horizon float64) {
 			}
 		}
 	}
+	if p.Now() < fd.Horizon {
+		p.WakeAfter(fd.Timeout / 2)
+	}
 }
 
 // overdueOwners returns candidate failed producers once any consumer is
 // overdue: first the owners of the specific batches being waited on, then —
-// since a consumer using GetAny only knows its epoch window — every job, so
+// since a consumer using TryGetAny only knows its epoch window — every job, so
 // the liveness check in Run can identify the dead one (§4.3: jobs can
 // deterministically identify which job failed).
 func (fd *FailureDetector) overdueOwners() []int {

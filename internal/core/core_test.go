@@ -20,6 +20,75 @@ func testDataset(n int) *dataset.Dataset {
 	return &dataset.Dataset{Name: "t", NumItems: n, TotalBytes: float64(n) * 1000}
 }
 
+// step is one step of a scripted test process: it reports false when the
+// process must wait (its wake-up is registered) and is retried when the
+// process resumes.
+type step func(p *sim.Proc) bool
+
+// script spawns a process that runs steps in order.
+func script(e *sim.Engine, name string, steps ...step) {
+	i := 0
+	e.Spawn(name, func(p *sim.Proc) {
+		for i < len(steps) {
+			if !steps[i](p) {
+				return
+			}
+			i++
+		}
+	})
+}
+
+// sleep waits d seconds.
+func sleep(d float64) step {
+	slept := false
+	return func(p *sim.Proc) bool {
+		if slept {
+			return true
+		}
+		slept = true
+		p.WakeAfter(d)
+		return false
+	}
+}
+
+// do runs fn inline.
+func do(fn func(p *sim.Proc)) step {
+	return func(p *sim.Proc) bool { fn(p); return true }
+}
+
+// fetch fetches items on server through f, records the result in r (may
+// be nil) and waits for the batch's device ops.
+func fetch(f loader.Fetcher, server int, items []dataset.ItemID, r *loader.FetchResult) step {
+	var ops sim.Ops
+	started := false
+	return func(p *sim.Proc) bool {
+		if !started {
+			started = true
+			res := f.FetchBatch(&ops, server, items)
+			if r != nil {
+				*r = res
+			}
+		}
+		return ops.Run(p)
+	}
+}
+
+// put stages b.
+func put(s *StagingArea, b *Batch) step {
+	return func(p *sim.Proc) bool { return s.TryPut(p, b) }
+}
+
+// get consumes batch index i for job (GetAny over the window [i, i+1)).
+func get(s *StagingArea, job, i int, got func(b *Batch)) step {
+	return func(p *sim.Proc) bool {
+		b, ok := s.TryGetAny(p, job, i, i+1)
+		if ok && got != nil {
+			got(b)
+		}
+		return ok
+	}
+}
+
 func TestMinIOFetcherChargesDevices(t *testing.T) {
 	e := sim.New()
 	cl := cluster.Build(e, cluster.ConfigSSDV100(), 1)
@@ -27,10 +96,10 @@ func TestMinIOFetcherChargesDevices(t *testing.T) {
 	f := NewMinIOFetcher(d, cl, 50*1000)
 	items := []dataset.ItemID{0, 1, 2}
 	var r1, r2 loader.FetchResult
-	e.Go("x", func(p *sim.Proc) {
-		r1 = f.FetchBatch(p, 0, items) // cold: all disk
-		r2 = f.FetchBatch(p, 0, items) // warm: all memory
-	})
+	script(e, "x",
+		fetch(f, 0, items, &r1), // cold: all disk
+		fetch(f, 0, items, &r2), // warm: all memory
+	)
 	e.Run()
 	if r1.Misses != 3 || r1.DiskBytes != 3000 {
 		t.Fatalf("cold fetch: %+v", r1)
@@ -43,32 +112,35 @@ func TestMinIOFetcherChargesDevices(t *testing.T) {
 	}
 }
 
+// warm populates each server's partition of f's cache from its owner
+// shard.
+func warm(e *sim.Engine, f *PartitionedFetcher) {
+	var steps []step
+	for s, sh := range f.OwnerShards() {
+		steps = append(steps, fetch(f, s, sh.Items, nil))
+	}
+	script(e, "warm", steps...)
+	e.Run()
+}
+
 func TestPartitionedFetcherRemotePath(t *testing.T) {
 	e := sim.New()
 	cl := cluster.Build(e, cluster.ConfigSSDV100(), 2)
 	d := testDataset(1000)
 	f := NewPartitionedFetcher(d, cl, d.TotalBytes/2, 1) // aggregate = dataset
 	// Warm both caches via owner shards.
-	shards := f.OwnerShards()
-	e.Go("warm", func(p *sim.Proc) {
-		for s, sh := range shards {
-			f.FetchBatch(p, s, sh.Items)
-		}
-	})
-	e.Run()
+	warm(e, f)
 
 	// Steady state: server 0 fetches random items; no disk traffic.
-	e2 := e // same engine state is fine; devices accumulate
+	// The same engine keeps running; devices accumulate.
 	var r loader.FetchResult
 	all := make([]dataset.ItemID, 1000)
 	for i := range all {
 		all[i] = dataset.ItemID(i)
 	}
 	disk0 := cl.Servers[0].Disk.TotalBytes()
-	e2.Go("steady", func(p *sim.Proc) {
-		r = f.FetchBatch(p, 0, all)
-	})
-	e2.Run()
+	script(e, "steady", fetch(f, 0, all, &r))
+	e.Run()
 	if r.Misses != 0 {
 		t.Fatalf("steady-state misses: %+v", r)
 	}
@@ -101,20 +173,19 @@ func TestStagingAreaExactlyOncePerJob(t *testing.T) {
 	e := sim.New()
 	s := NewStagingArea(e, 2, 1e9)
 	var consumed [2][]int
-	e.Go("producer", func(p *sim.Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(1)
-			s.Put(p, &Batch{Index: i, Owner: 0, PreparedBytes: 10})
-		}
-	})
+	var prod []step
+	for i := 0; i < 5; i++ {
+		prod = append(prod, sleep(1), put(s, &Batch{Index: i, Owner: 0, PreparedBytes: 10}))
+	}
+	script(e, "producer", prod...)
 	for j := 0; j < 2; j++ {
-		j := j
-		e.Go("consumer", func(p *sim.Proc) {
-			for i := 0; i < 5; i++ {
-				b := s.Get(p, j, i)
+		var cons []step
+		for i := 0; i < 5; i++ {
+			cons = append(cons, get(s, j, i, func(b *Batch) {
 				consumed[j] = append(consumed[j], b.Index)
-			}
-		})
+			}))
+		}
+		script(e, "consumer", cons...)
 	}
 	e.Run()
 	for j := 0; j < 2; j++ {
@@ -134,20 +205,15 @@ func TestStagingAreaExactlyOncePerJob(t *testing.T) {
 func TestStagingAreaEvictsOnlyAfterAllJobsUse(t *testing.T) {
 	e := sim.New()
 	s := NewStagingArea(e, 3, 1e9)
-	e.Go("p", func(p *sim.Proc) {
-		s.Put(p, &Batch{Index: 0, PreparedBytes: 7})
-	})
+	script(e, "p", put(s, &Batch{Index: 0, PreparedBytes: 7}))
 	got := 0
 	for j := 0; j < 3; j++ {
-		j := j
-		e.Go("c", func(p *sim.Proc) {
-			p.Sleep(float64(j + 1))
-			s.Get(p, j, 0)
+		script(e, "c", sleep(float64(j+1)), get(s, j, 0, func(*Batch) {
 			got++
 			if j < 2 && s.UsedBytes() == 0 {
 				t.Errorf("batch evicted before all jobs consumed it")
 			}
-		})
+		}))
 	}
 	e.Run()
 	if got != 3 || s.UsedBytes() != 0 {
@@ -159,18 +225,14 @@ func TestStagingAreaCapacityBlocksProducer(t *testing.T) {
 	e := sim.New()
 	s := NewStagingArea(e, 1, 25) // room for 2 batches of 10
 	var putTimes []float64
-	e.Go("p", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			s.Put(p, &Batch{Index: i, PreparedBytes: 10})
-			putTimes = append(putTimes, p.Now())
-		}
-	})
-	e.Go("c", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			p.Sleep(10)
-			s.Get(p, 0, i)
-		}
-	})
+	var prod, cons []step
+	for i := 0; i < 3; i++ {
+		prod = append(prod, put(s, &Batch{Index: i, PreparedBytes: 10}),
+			do(func(p *sim.Proc) { putTimes = append(putTimes, p.Now()) }))
+		cons = append(cons, sleep(10), get(s, 0, i, nil))
+	}
+	script(e, "p", prod...)
+	script(e, "c", cons...)
 	e.Run()
 	if putTimes[2] != 10 {
 		t.Fatalf("third put at %v, want blocked until 10", putTimes[2])
@@ -184,14 +246,29 @@ func TestStagingMemTrace(t *testing.T) {
 	e := sim.New()
 	s := NewStagingArea(e, 1, 1e9)
 	s.EnableMemTrace("staging")
-	e.Go("p", func(p *sim.Proc) {
-		s.Put(p, &Batch{Index: 0, PreparedBytes: 10})
-		p.Sleep(1)
-		s.Get(p, 0, 0)
-	})
+	script(e, "p", put(s, &Batch{Index: 0, PreparedBytes: 10}), sleep(1), get(s, 0, 0, nil))
 	e.Run()
 	if s.MemTrace.Len() != 2 {
 		t.Fatalf("trace points %d, want 2", s.MemTrace.Len())
+	}
+}
+
+// TestStagingAreaEpochGate: producers may not stage epoch e until every
+// live job finished epoch e-1; removing a job shrinks the quorum.
+func TestStagingAreaEpochGate(t *testing.T) {
+	e := sim.New()
+	s := NewStagingArea(e, 2, 1e9)
+	var opened float64
+	script(e, "p", func(p *sim.Proc) bool { return s.TryEpochStart(p, 1) },
+		do(func(p *sim.Proc) { opened = p.Now() }))
+	script(e, "jobs", sleep(1), do(func(*sim.Proc) { s.JobEpochDone(0) }),
+		sleep(1), do(func(*sim.Proc) { s.RemoveJob(1) }))
+	e.Run()
+	if opened != 2 {
+		t.Fatalf("epoch 1 opened at %v, want 2 (job 0 done at 1, job 1 removed at 2)", opened)
+	}
+	if s.LiveJobs() != 1 {
+		t.Fatalf("live jobs %d, want 1", s.LiveJobs())
 	}
 }
 
@@ -202,40 +279,35 @@ func TestFailureDetectorRecoversDeadJob(t *testing.T) {
 	// Job 0 produces even batches; job 1 (owner of odd batches) dies
 	// after batch 1. Consumers need batches 0..5.
 	dead := false
-	e.Go("producer0", func(p *sim.Proc) {
-		for i := 0; i < 6; i += 2 {
-			p.Sleep(1)
-			s.Put(p, &Batch{Index: i, Owner: 0, PreparedBytes: 1})
-		}
-	})
-	e.Go("producer1", func(p *sim.Proc) {
-		p.Sleep(1)
-		s.Put(p, &Batch{Index: 1, Owner: 1, PreparedBytes: 1})
-		dead = true // dies before batch 3
-	})
+	var prod0 []step
+	for i := 0; i < 6; i += 2 {
+		prod0 = append(prod0, sleep(1), put(s, &Batch{Index: i, Owner: 0, PreparedBytes: 1}))
+	}
+	script(e, "producer0", prod0...)
+	script(e, "producer1", sleep(1), put(s, &Batch{Index: 1, Owner: 1, PreparedBytes: 1}),
+		do(func(*sim.Proc) { dead = true })) // dies before batch 3
 	fd := &FailureDetector{
 		Staging: s,
 		Timeout: 5,
 		Alive:   func(job int) bool { return !(job == 1 && dead) },
 		Recover: func(job int) {
-			e.Go("recovery", func(p *sim.Proc) {
-				for i := 3; i < 6; i += 2 {
-					p.Sleep(1)
-					s.Put(p, &Batch{Index: i, Owner: job, PreparedBytes: 1})
-				}
-			})
+			var rec []step
+			for i := 3; i < 6; i += 2 {
+				rec = append(rec, sleep(1), put(s, &Batch{Index: i, Owner: job, PreparedBytes: 1}))
+			}
+			script(e, "recovery", rec...)
 		},
+		Horizon: 200,
 	}
-	e.Go("detector", func(p *sim.Proc) { fd.Run(p, 200) })
+	e.Spawn("detector", fd.Run)
 	done := make([]bool, nJobs)
 	for j := 0; j < nJobs; j++ {
-		j := j
-		e.Go("consumer", func(p *sim.Proc) {
-			for i := 0; i < 6; i++ {
-				s.Get(p, j, i)
-			}
-			done[j] = true
-		})
+		var cons []step
+		for i := 0; i < 6; i++ {
+			cons = append(cons, get(s, j, i, nil))
+		}
+		cons = append(cons, do(func(*sim.Proc) { done[j] = true }))
+		script(e, "consumer", cons...)
 	}
 	e.Run()
 	if !done[0] || !done[1] {
@@ -253,20 +325,14 @@ func TestFailureDetectorIgnoresAliveJobs(t *testing.T) {
 		Staging: s,
 		Timeout: 2,
 		Alive:   func(int) bool { return true }, // just slow, not dead
+		Horizon: 30,
 	}
-	e.Go("detector", func(p *sim.Proc) { fd.Run(p, 30) })
-	e.Go("slow-producer", func(p *sim.Proc) {
-		p.Sleep(20)
-		s.Put(p, &Batch{Index: 0, PreparedBytes: 1})
-		p.Sleep(1)
-		s.Put(p, &Batch{Index: 1, PreparedBytes: 1})
-	})
+	e.Spawn("detector", fd.Run)
+	script(e, "slow-producer",
+		sleep(20), put(s, &Batch{Index: 0, PreparedBytes: 1}),
+		sleep(1), put(s, &Batch{Index: 1, PreparedBytes: 1}))
 	for j := 0; j < 2; j++ {
-		j := j
-		e.Go("c", func(p *sim.Proc) {
-			s.Get(p, j, 0)
-			s.Get(p, j, 1)
-		})
+		script(e, "c", get(s, j, 0, nil), get(s, j, 1, nil))
 	}
 	e.Run()
 	if len(fd.Detected) != 0 {
@@ -283,20 +349,13 @@ func TestPartitionedFetchOrdersOfMagnitude(t *testing.T) {
 	d := &dataset.Dataset{Name: "t", NumItems: 100, TotalBytes: 100 * 300 * stats.KiB}
 	f := NewPartitionedFetcher(d, cl, d.TotalBytes/2, 1)
 	shards := f.OwnerShards()
-	e.Go("warm", func(p *sim.Proc) {
-		for s, sh := range shards {
-			f.FetchBatch(p, s, sh.Items)
-		}
-	})
-	e.Run()
+	warm(e, f)
 
 	// Time fetching server 1's shard from server 0 (all remote).
-	var remoteT float64
-	e.Go("remote", func(p *sim.Proc) {
-		start := p.Now()
-		f.FetchBatch(p, 0, shards[1].Items)
-		remoteT = p.Now() - start
-	})
+	var start, remoteT float64
+	script(e, "remote", do(func(p *sim.Proc) { start = p.Now() }),
+		fetch(f, 0, shards[1].Items, nil),
+		do(func(p *sim.Proc) { remoteT = p.Now() - start }))
 	e.Run()
 	diskT := 0.0
 	for _, id := range shards[1].Items {

@@ -80,9 +80,12 @@ func (r *FetchResult) Add(o FetchResult) {
 // shared per server across all jobs on that server, which is how cross-job
 // cache interference (HP-search thrashing) arises.
 type Fetcher interface {
-	// FetchBatch fetches items on behalf of a job running on server, and
-	// blocks p for the storage/network/memory time consumed.
-	FetchBatch(p *sim.Proc, server int, items []dataset.ItemID) FetchResult
+	// FetchBatch fetches items on behalf of a job running on server. It
+	// does the batch's cache lookups at once and appends the batch's
+	// device operations to ops in the order they run — the storage read,
+	// then remote NIC transfers in server order, then the DRAM copy — for
+	// the calling process to run (sim.Ops.Run).
+	FetchBatch(ops *sim.Ops, server int, items []dataset.ItemID) FetchResult
 }
 
 // PageCacheFetcher is the baseline fetch path: all reads go through the OS
@@ -112,7 +115,7 @@ func NewPageCacheFetcher(d *dataset.Dataset, c *cluster.Cluster, capBytes float6
 func (f *PageCacheFetcher) CacheUsedBytes() float64 { return cache.SumUsedBytes(f.Caches) }
 
 // FetchBatch implements Fetcher.
-func (f *PageCacheFetcher) FetchBatch(p *sim.Proc, server int, items []dataset.ItemID) FetchResult {
+func (f *PageCacheFetcher) FetchBatch(ops *sim.Ops, server int, items []dataset.ItemID) FetchResult {
 	var r FetchResult
 	pc := f.Caches[server]
 	spi := f.SeeksPerItem
@@ -132,8 +135,8 @@ func (f *PageCacheFetcher) FetchBatch(p *sim.Proc, server int, items []dataset.I
 		}
 	}
 	srv := f.Cluster.Servers[server]
-	srv.Disk.ReadRandom(p, r.DiskBytes, r.DiskItems)
-	srv.Mem.Read(p, r.MemBytes)
+	srv.Disk.ReadRandom(ops, r.DiskBytes, r.DiskItems)
+	srv.Mem.Read(ops, r.MemBytes)
 	return r
 }
 
@@ -142,7 +145,7 @@ func (f *PageCacheFetcher) FetchBatch(p *sim.Proc, server int, items []dataset.I
 type SyntheticFetcher struct{}
 
 // FetchBatch implements Fetcher at zero cost.
-func (SyntheticFetcher) FetchBatch(p *sim.Proc, server int, items []dataset.ItemID) FetchResult {
+func (SyntheticFetcher) FetchBatch(ops *sim.Ops, server int, items []dataset.ItemID) FetchResult {
 	return FetchResult{Hits: len(items)}
 }
 
@@ -154,13 +157,13 @@ type CachedFetcher struct {
 }
 
 // FetchBatch implements Fetcher.
-func (f *CachedFetcher) FetchBatch(p *sim.Proc, server int, items []dataset.ItemID) FetchResult {
+func (f *CachedFetcher) FetchBatch(ops *sim.Ops, server int, items []dataset.ItemID) FetchResult {
 	var r FetchResult
 	for _, id := range items {
 		r.MemBytes += f.Dataset.ItemBytes(id)
 		r.Hits++
 	}
-	f.Cluster.Servers[server].Mem.Read(p, r.MemBytes)
+	f.Cluster.Servers[server].Mem.Read(ops, r.MemBytes)
 	return r
 }
 
@@ -175,12 +178,15 @@ type TFRecordFetcher struct {
 	// RecordBytes is the serialized file size (100-200 MB in TF).
 	RecordBytes float64
 	itemsPerRec int
+	// seen is FetchBatch's reusable scratch set of the batch's records.
+	seen map[dataset.ItemID]bool
 }
 
 // NewTFRecordFetcher builds a record-granular fetcher with per-server page
 // caches of capBytes.
 func NewTFRecordFetcher(d *dataset.Dataset, c *cluster.Cluster, capBytes, recordBytes float64, seed int64) *TFRecordFetcher {
-	f := &TFRecordFetcher{Dataset: d, Cluster: c, RecordBytes: recordBytes}
+	f := &TFRecordFetcher{Dataset: d, Cluster: c, RecordBytes: recordBytes,
+		seen: make(map[dataset.ItemID]bool)}
 	f.itemsPerRec = int(recordBytes / d.AvgItemBytes())
 	if f.itemsPerRec < 1 {
 		f.itemsPerRec = 1
@@ -201,16 +207,16 @@ func (f *TFRecordFetcher) Record(id dataset.ItemID) dataset.ItemID {
 
 // FetchBatch implements Fetcher: a batch touches the records containing its
 // items; uncached records stream from disk sequentially.
-func (f *TFRecordFetcher) FetchBatch(p *sim.Proc, server int, items []dataset.ItemID) FetchResult {
+func (f *TFRecordFetcher) FetchBatch(ops *sim.Ops, server int, items []dataset.ItemID) FetchResult {
 	var r FetchResult
 	pc := f.Caches[server]
-	seen := make(map[dataset.ItemID]bool, 4)
+	clear(f.seen)
 	for _, id := range items {
 		rec := f.Record(id)
-		if seen[rec] {
+		if f.seen[rec] {
 			continue // same record already read for this batch
 		}
-		seen[rec] = true
+		f.seen[rec] = true
 		if pc.Lookup(rec) {
 			r.MemBytes += f.RecordBytes
 			r.Hits++
@@ -222,7 +228,7 @@ func (f *TFRecordFetcher) FetchBatch(p *sim.Proc, server int, items []dataset.It
 		}
 	}
 	srv := f.Cluster.Servers[server]
-	srv.Disk.ReadSequential(p, r.DiskBytes)
-	srv.Mem.Read(p, r.MemBytes)
+	srv.Disk.ReadSequential(ops, r.DiskBytes)
+	srv.Mem.Read(ops, r.MemBytes)
 	return r
 }

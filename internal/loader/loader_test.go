@@ -16,6 +16,40 @@ func testEnv(nServers int) (*sim.Engine, *cluster.Cluster, *dataset.Dataset) {
 	return e, cl, d
 }
 
+// fetchProc is a test process that fetches batches in turn on server 0,
+// running each batch's device ops before fetching the next.
+type fetchProc struct {
+	res  []FetchResult
+	done float64 // completion time of the last batch's ops
+}
+
+// fetchAll spawns a fetchProc that sleeps at seconds and then fetches
+// batches through f.
+func fetchAll(e *sim.Engine, f Fetcher, at float64, batches ...[]dataset.ItemID) *fetchProc {
+	fp := &fetchProc{}
+	var ops sim.Ops
+	slept := at == 0
+	e.Spawn("fetch", func(p *sim.Proc) {
+		if !slept {
+			slept = true
+			p.WakeAfter(at)
+			return
+		}
+		for {
+			if !ops.Run(p) {
+				return
+			}
+			fp.done = p.Now()
+			if len(fp.res) == len(batches) {
+				return
+			}
+			ops.Reset()
+			fp.res = append(fp.res, f.FetchBatch(&ops, 0, batches[len(fp.res)]))
+		}
+	})
+	return fp
+}
+
 func TestKindStrings(t *testing.T) {
 	cases := map[Kind]string{
 		DALIShuffle: "dali-shuffle", DALISeq: "dali-seq",
@@ -45,12 +79,9 @@ func TestPageCacheFetcherColdThenWarm(t *testing.T) {
 	e, cl, d := testEnv(1)
 	f := NewPageCacheFetcher(d, cl, d.TotalBytes, 1) // cache fits everything
 	items := []dataset.ItemID{0, 1, 2, 3}
-	var cold, warm FetchResult
-	e.Go("x", func(p *sim.Proc) {
-		cold = f.FetchBatch(p, 0, items)
-		warm = f.FetchBatch(p, 0, items)
-	})
+	fp := fetchAll(e, f, 0, items, items)
 	e.Run()
+	cold, warm := fp.res[0], fp.res[1]
 	if cold.Misses != 4 || cold.DiskItems != 4 {
 		t.Fatalf("cold: %+v", cold)
 	}
@@ -66,12 +97,9 @@ func TestPageCacheFetcherSeeksPerItem(t *testing.T) {
 	e, cl, d := testEnv(1)
 	f := NewPageCacheFetcher(d, cl, 1, 1) // cache too small: all misses
 	f.SeeksPerItem = 3
-	var r FetchResult
-	e.Go("x", func(p *sim.Proc) {
-		r = f.FetchBatch(p, 0, []dataset.ItemID{0, 1})
-	})
+	fp := fetchAll(e, f, 0, []dataset.ItemID{0, 1})
 	e.Run()
-	if r.DiskItems != 6 {
+	if r := fp.res[0]; r.DiskItems != 6 {
 		t.Fatalf("disk items %d, want 2 items x 3 seeks", r.DiskItems)
 	}
 	if cl.Servers[0].Disk.TotalRequests() != 1 {
@@ -84,29 +112,19 @@ func TestPageCacheSharedAcrossCallers(t *testing.T) {
 	// interferes with) the first job's cache contents.
 	e, cl, d := testEnv(1)
 	f := NewPageCacheFetcher(d, cl, d.TotalBytes, 1)
-	var second FetchResult
-	e.Go("job1", func(p *sim.Proc) {
-		f.FetchBatch(p, 0, []dataset.ItemID{7, 8})
-	})
-	e.Go("job2", func(p *sim.Proc) {
-		p.Sleep(100)
-		second = f.FetchBatch(p, 0, []dataset.ItemID{7, 8})
-	})
+	fetchAll(e, f, 0, []dataset.ItemID{7, 8})
+	job2 := fetchAll(e, f, 100, []dataset.ItemID{7, 8})
 	e.Run()
-	if second.Hits != 2 {
+	if second := job2.res[0]; second.Hits != 2 {
 		t.Fatalf("cross-job hits %d, want 2", second.Hits)
 	}
 }
 
 func TestSyntheticFetcherFree(t *testing.T) {
 	e, _, _ := testEnv(1)
-	var r FetchResult
-	var took float64
-	e.Go("x", func(p *sim.Proc) {
-		r = SyntheticFetcher{}.FetchBatch(p, 0, []dataset.ItemID{0, 1, 2})
-		took = p.Now()
-	})
+	fp := fetchAll(e, SyntheticFetcher{}, 0, []dataset.ItemID{0, 1, 2})
 	e.Run()
+	r, took := fp.res[0], fp.done
 	if took != 0 || r.Hits != 3 || r.DiskBytes != 0 {
 		t.Fatalf("synthetic fetch not free: t=%v %+v", took, r)
 	}
@@ -115,13 +133,9 @@ func TestSyntheticFetcherFree(t *testing.T) {
 func TestCachedFetcherChargesMemoryOnly(t *testing.T) {
 	e, cl, d := testEnv(1)
 	f := &CachedFetcher{Dataset: d, Cluster: cl}
-	var r FetchResult
-	var took float64
-	e.Go("x", func(p *sim.Proc) {
-		r = f.FetchBatch(p, 0, []dataset.ItemID{0, 1})
-		took = p.Now()
-	})
+	fp := fetchAll(e, f, 0, []dataset.ItemID{0, 1})
 	e.Run()
+	r, took := fp.res[0], fp.done
 	if r.MemBytes != 2*d.AvgItemBytes() || r.DiskBytes != 0 {
 		t.Fatalf("cached fetch: %+v", r)
 	}
@@ -140,12 +154,10 @@ func TestTFRecordFetcherRecordGranularity(t *testing.T) {
 	if f.Record(0) != f.Record(9) || f.Record(0) == f.Record(10) {
 		t.Fatal("record mapping wrong")
 	}
-	var r FetchResult
-	e.Go("x", func(p *sim.Proc) {
-		// Items 0..9 share a record; 10 starts the next.
-		r = f.FetchBatch(p, 0, []dataset.ItemID{0, 5, 9, 10})
-	})
+	// Items 0..9 share a record; 10 starts the next.
+	fp := fetchAll(e, f, 0, []dataset.ItemID{0, 5, 9, 10})
 	e.Run()
+	r := fp.res[0]
 	if r.Misses != 2 {
 		t.Fatalf("misses %d, want 2 records", r.Misses)
 	}
@@ -153,11 +165,9 @@ func TestTFRecordFetcherRecordGranularity(t *testing.T) {
 		t.Fatalf("disk bytes %v, want 2 records", r.DiskBytes)
 	}
 	// Second batch over the same records: all hits, memory only.
-	var r2 FetchResult
-	e.Go("y", func(p *sim.Proc) {
-		r2 = f.FetchBatch(p, 0, []dataset.ItemID{1, 11})
-	})
+	fp = fetchAll(e, f, 0, []dataset.ItemID{1, 11})
 	e.Run()
+	r2 := fp.res[0]
 	if r2.Hits != 2 || r2.DiskBytes != 0 {
 		t.Fatalf("warm record fetch: %+v", r2)
 	}
@@ -167,11 +177,11 @@ func TestTFRecordFetcherEviction(t *testing.T) {
 	e, cl, d := testEnv(1)
 	rec := 10 * d.AvgItemBytes()
 	f := NewTFRecordFetcher(d, cl, 2*rec, rec, 1) // cache holds 2 records
-	e.Go("x", func(p *sim.Proc) {
-		for i := 0; i < 20; i++ {
-			f.FetchBatch(p, 0, []dataset.ItemID{dataset.ItemID(i * 10)})
-		}
-	})
+	var batches [][]dataset.ItemID
+	for i := 0; i < 20; i++ {
+		batches = append(batches, []dataset.ItemID{dataset.ItemID(i * 10)})
+	}
+	fetchAll(e, f, 0, batches...)
 	e.Run()
 	if f.Caches[0].UsedBytes() > 2*rec {
 		t.Fatal("record cache exceeded capacity")

@@ -7,7 +7,6 @@ package network
 
 import (
 	"datastall/internal/sim"
-	"datastall/internal/stats"
 )
 
 // LinkSpec characterises a server NIC.
@@ -41,34 +40,26 @@ var Ethernet10G = LinkSpec{
 type NIC struct {
 	Spec LinkSpec
 
-	eng *sim.Engine
 	srv *sim.BandwidthServer
-
-	// Trace records per-transfer completions when enabled.
-	Trace *stats.TimeSeries
 }
 
 // NewNIC returns an idle NIC attached to e.
 func NewNIC(e *sim.Engine, spec LinkSpec) *NIC {
-	return &NIC{Spec: spec, eng: e, srv: sim.NewBandwidthServer(e)}
+	return &NIC{Spec: spec, srv: sim.NewBandwidthServer(e)}
 }
-
-// EnableTrace records per-transfer completion events.
-func (n *NIC) EnableTrace(name string) { n.Trace = &stats.TimeSeries{Name: name} }
 
 // EffectiveBW returns the delivered bulk bandwidth in bytes/s.
 func (n *NIC) EffectiveBW() float64 { return n.Spec.RawBW * n.Spec.Efficiency }
 
-// Transfer moves bytes through this NIC, blocking p until completion.
-// nMsgs is the number of request/response exchanges (each pays one RTT).
-func (n *NIC) Transfer(p *sim.Proc, bytes float64, nMsgs int) {
+// Transfer appends to ops a move of bytes through this NIC. nMsgs is the
+// number of request/response exchanges (each pays one RTT). An empty
+// transfer appends nothing.
+func (n *NIC) Transfer(ops *sim.Ops, bytes float64, nMsgs int) {
 	if bytes <= 0 && nMsgs <= 0 {
 		return
 	}
-	n.srv.Request(p, bytes, n.EffectiveBW(), float64(nMsgs)*n.Spec.RTT)
-	if n.Trace != nil {
-		n.Trace.Add(n.eng.Now(), bytes)
-	}
+	ops.Add(sim.Op{Srv: n.srv, Bytes: bytes, BW: n.EffectiveBW(),
+		Overhead: float64(nMsgs) * n.Spec.RTT})
 }
 
 // TotalBytes returns bytes transferred through this NIC.
@@ -78,9 +69,6 @@ func (n *NIC) TotalBytes() float64 { return n.srv.Bytes }
 // latency is already folded into iteration time) for bandwidth reporting
 // without modelling queueing for it.
 func (n *NIC) AccountBytes(bytes float64) { n.srv.Bytes += bytes }
-
-// BusyTime returns total seconds the NIC was transferring.
-func (n *NIC) BusyTime() float64 { return n.srv.Busy }
 
 // Fabric connects the NICs of a distributed job. A remote fetch crosses the
 // serving server's NIC and the requesting server's NIC; we model the
@@ -99,14 +87,14 @@ func NewFabric(e *sim.Engine, n int, spec LinkSpec) *Fabric {
 	return f
 }
 
-// RemoteFetch transfers bytes from server src's DRAM to server dst,
-// blocking p. Both endpoints' NICs are charged.
-func (f *Fabric) RemoteFetch(p *sim.Proc, dst, src int, bytes float64, nItems int) {
+// RemoteFetch appends to ops a transfer of bytes from server src's DRAM to
+// server dst. Both endpoints' NICs are charged, one after the other.
+func (f *Fabric) RemoteFetch(ops *sim.Ops, dst, src int, bytes float64, nItems int) {
 	// Source side: serialization out of the serving server.
-	f.NICs[src].Transfer(p, bytes, nItems)
+	f.NICs[src].Transfer(ops, bytes, nItems)
 	// Destination side: receive path (usually overlapped; charge without
 	// a second RTT to avoid double-counting latency).
-	f.NICs[dst].Transfer(p, bytes, 0)
+	f.NICs[dst].Transfer(ops, bytes, 0)
 }
 
 // TotalBytes returns bytes moved across all NICs (each fetch counted twice,

@@ -16,14 +16,23 @@ func TestEffectiveBWExceedsSSD(t *testing.T) {
 	}
 }
 
+// run spawns a process that runs ops back to back and records the time
+// they complete in done.
+func run(e *sim.Engine, ops *sim.Ops, done *float64) {
+	e.Spawn("x", func(p *sim.Proc) {
+		if ops.Run(p) {
+			*done = p.Now()
+		}
+	})
+}
+
 func TestTransferTiming(t *testing.T) {
 	e := sim.New()
 	n := NewNIC(e, LinkSpec{Name: "t", RawBW: 1000, Efficiency: 0.5, RTT: 1})
+	var ops sim.Ops
+	n.Transfer(&ops, 500, 2) // 2 RTT (2s) + 500/500 (1s) = 3s
 	var done float64
-	e.Go("x", func(p *sim.Proc) {
-		n.Transfer(p, 500, 2) // 2 RTT (2s) + 500/500 (1s) = 3s
-		done = p.Now()
-	})
+	run(e, &ops, &done)
 	e.Run()
 	if done != 3 {
 		t.Fatalf("transfer done at %v, want 3", done)
@@ -36,9 +45,12 @@ func TestTransferTiming(t *testing.T) {
 func TestNICContention(t *testing.T) {
 	e := sim.New()
 	n := NewNIC(e, LinkSpec{Name: "t", RawBW: 100, Efficiency: 1, RTT: 0})
+	var a, b sim.Ops
+	n.Transfer(&a, 1000, 0)
+	n.Transfer(&b, 1000, 0)
 	var t1, t2 float64
-	e.Go("a", func(p *sim.Proc) { n.Transfer(p, 1000, 0); t1 = p.Now() })
-	e.Go("b", func(p *sim.Proc) { n.Transfer(p, 1000, 0); t2 = p.Now() })
+	run(e, &a, &t1)
+	run(e, &b, &t2)
 	e.Run()
 	if t1 != 10 || t2 != 20 {
 		t.Fatalf("t1=%v t2=%v, want FIFO 10/20", t1, t2)
@@ -48,7 +60,10 @@ func TestNICContention(t *testing.T) {
 func TestFabricRemoteFetchChargesBothEnds(t *testing.T) {
 	e := sim.New()
 	f := NewFabric(e, 2, LinkSpec{Name: "t", RawBW: 100, Efficiency: 1, RTT: 0})
-	e.Go("x", func(p *sim.Proc) { f.RemoteFetch(p, 0, 1, 500, 1) })
+	var ops sim.Ops
+	f.RemoteFetch(&ops, 0, 1, 500, 1)
+	var done float64
+	run(e, &ops, &done)
 	e.Run()
 	if f.NICs[0].TotalBytes() != 500 || f.NICs[1].TotalBytes() != 500 {
 		t.Fatalf("bytes: dst=%v src=%v", f.NICs[0].TotalBytes(), f.NICs[1].TotalBytes())
@@ -56,13 +71,19 @@ func TestFabricRemoteFetchChargesBothEnds(t *testing.T) {
 	if math.Abs(f.TotalBytes()-1000) > 1e-9 {
 		t.Fatalf("fabric total %v", f.TotalBytes())
 	}
+	// The receive leg starts when the send leg completes: 5s + 5s.
+	if done != 10 {
+		t.Fatalf("remote fetch done at %v, want 10", done)
+	}
 }
 
 func TestZeroTransferFree(t *testing.T) {
 	e := sim.New()
 	n := NewNIC(e, Ethernet40G)
-	var done float64
-	e.Go("x", func(p *sim.Proc) { n.Transfer(p, 0, 0); done = p.Now() })
+	var ops sim.Ops
+	n.Transfer(&ops, 0, 0)
+	done := -1.0
+	run(e, &ops, &done)
 	e.Run()
 	if done != 0 {
 		t.Fatalf("zero transfer took %v", done)

@@ -6,27 +6,31 @@ import (
 	"datastall/internal/race"
 )
 
-// TestCallbackStoreFIFO: a callback consumer drains a goroutine producer
-// through a bounded store in FIFO order — the mixed-flavour configuration
-// the trainer runs (goroutine producers, callback GPU consumers).
+// TestCallbackStoreFIFO: a consumer drains a sleeping producer through a
+// bounded store in FIFO order.
 func TestCallbackStoreFIFO(t *testing.T) {
 	e := New()
-	s := NewStore[int](e, 2)
-	e.Go("producer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(1)
-			s.Put(p, i)
+	s := NewStore[int](2)
+	sent, slept := 0, false
+	e.Spawn("producer", func(p *Proc) {
+		for sent < 5 {
+			if !slept {
+				slept = true
+				p.WakeAfter(1)
+				return
+			}
+			if !s.TryPut(p, sent) {
+				return
+			}
+			slept = false
+			sent++
 		}
 	})
 	var got []int
 	e.Spawn("consumer", func(p *Proc) {
 		for {
-			v, ok, ready := s.TryGet(p, p.Now())
-			if !ready {
-				return
-			}
+			v, ok := s.TryGet(p)
 			if !ok {
-				t.Error("store closed early")
 				return
 			}
 			got = append(got, v)
@@ -43,164 +47,45 @@ func TestCallbackStoreFIFO(t *testing.T) {
 	}
 }
 
-// TestCallbackPutBackpressure: a callback producer blocks on a full store
-// and accounts PutBlocked exactly like a goroutine producer.
+// TestCallbackPutBackpressure: a producer waits on a full store until the
+// consumer frees a slot.
 func TestCallbackPutBackpressure(t *testing.T) {
-	run := func(callback bool) (putDone, putBlocked float64) {
-		e := New()
-		s := NewStore[int](e, 1)
-		if callback {
-			sent := 0
-			start := 0.0 // first-attempt time of the pending put
-			e.Spawn("producer", func(p *Proc) {
-				for sent < 2 {
-					if !s.TryPut(p, sent, start) {
-						return
-					}
-					sent++
-					start = p.Now()
-				}
-				putDone = p.Now()
-			})
-		} else {
-			e.Go("producer", func(p *Proc) {
-				s.Put(p, 1)
-				s.Put(p, 2)
-				putDone = p.Now()
-			})
-		}
-		e.Go("consumer", func(p *Proc) {
-			p.Sleep(10)
-			s.Get(p)
-			p.Sleep(10)
-			s.Get(p)
-		})
-		e.Run()
-		return putDone, s.PutBlocked
-	}
-	gd, gb := run(false)
-	cd, cb := run(true)
-	if gd != cd || gb != cb {
-		t.Fatalf("callback producer diverged: done %v vs %v, PutBlocked %v vs %v", cd, gd, cb, gb)
-	}
-	if cd != 10 || cb != 10 {
-		t.Fatalf("putDone=%v PutBlocked=%v, want 10/10", cd, cb)
-	}
-}
-
-// TestMixedBarrier: callback and goroutine processes share one barrier;
-// release time and Waited accounting are identical to the all-goroutine
-// run. The callback waiter follows the Arrive contract: it records its
-// arrival time and adds its share to Waited when resumed.
-func TestMixedBarrier(t *testing.T) {
-	run := func(callbackWaiter bool) (release, waited float64) {
-		e := New()
-		b := NewBarrier(e, 3)
-		for i := 0; i < 2; i++ {
-			d := float64(i + 2) // arrive at t=2 and t=3
-			e.Go("w", func(p *Proc) {
-				p.Sleep(d)
-				b.Wait(p)
-				release = p.Now()
-			})
-		}
-		if callbackWaiter {
-			state, start := 0, 0.0
-			e.Spawn("cb", func(p *Proc) {
-				switch state {
-				case 0: // arrive at t=1
-					state = 1
-					p.WakeAfter(1)
-				case 1:
-					if b.Arrive(p) {
-						state = 3
-						return
-					}
-					start = p.Now()
-					state = 2
-				case 2:
-					b.Waited += p.Now() - start
-					state = 3
-				}
-			})
-		} else {
-			e.Go("w", func(p *Proc) {
-				p.Sleep(1)
-				b.Wait(p)
-			})
-		}
-		e.Run()
-		return release, b.Waited
-	}
-	gr, gw := run(false)
-	cr, cw := run(true)
-	if gr != cr || gw != cw {
-		t.Fatalf("callback waiter diverged: release %v vs %v, Waited %v vs %v", cr, gr, cw, gw)
-	}
-	if cr != 3 || cw != (3-1)+(3-2) {
-		t.Fatalf("release=%v Waited=%v, want 3/3", cr, cw)
-	}
-}
-
-// TestPingPongFlavorParity: the benchmark workload completes identically
-// (same final clock, same store traffic) on the goroutine and callback
-// paths.
-func TestPingPongFlavorParity(t *testing.T) {
-	for _, pairs := range []int{1, 4} {
-		BenchPingPong(pairs, 100, false)
-		BenchPingPong(pairs, 100, true)
-	}
-	// Completion without deadlock is the assertion: every Put was matched
-	// by a Get or Run would never drain.
-}
-
-// TestCallbackCannotBlock: blocking primitives panic for callback
-// processes instead of deadlocking the engine goroutine.
-func TestCallbackCannotBlock(t *testing.T) {
 	e := New()
-	s := NewStore[int](e, 0)
-	panicked := false
-	e.Spawn("bad", func(p *Proc) {
-		defer func() {
-			if recover() != nil {
-				panicked = true
+	s := NewStore[int](1)
+	var putDone float64
+	sent := 0
+	e.Spawn("producer", func(p *Proc) {
+		for sent < 2 {
+			if !s.TryPut(p, sent) {
+				return
 			}
-		}()
-		s.Get(p) // empty store: would park
+			sent++
+		}
+		putDone = p.Now()
 	})
+	got := 0
+	e.Spawn("consumer", sleepThen(10, func(p *Proc) {
+		if _, ok := s.TryGet(p); ok {
+			got++
+		}
+	}))
 	e.Run()
-	if !panicked {
-		t.Fatal("blocking Get from a callback process must panic")
+	if putDone != 10 || got != 1 || s.Len() != 1 {
+		t.Fatalf("putDone=%v got=%d buffered=%d, want 10/1/1", putDone, got, s.Len())
 	}
 }
 
 // TestWakeAfterOrdering: WakeAfter respects (time, sequence) ordering
-// against Schedule and goroutine sleeps.
+// against Schedule. Spawn order gives cb's first step seq 1 and g's seq 2;
+// fn is scheduled with seq 3. At t=0 cb steps and schedules its t=2 wake
+// (seq 4), then g (seq 5). So the t=2 order is fn, cb, g.
 func TestWakeAfterOrdering(t *testing.T) {
 	e := New()
 	var order []string
-	state := 0
-	e.Spawn("cb", func(p *Proc) {
-		if state == 0 {
-			state = 1
-			p.WakeAfter(2)
-			return
-		}
-		order = append(order, "cb")
-	})
-	e.Go("g", func(p *Proc) {
-		p.Sleep(2)
-		order = append(order, "g")
-	})
+	e.Spawn("cb", sleepThen(2, func(*Proc) { order = append(order, "cb") }))
+	e.Spawn("g", sleepThen(2, func(*Proc) { order = append(order, "g") }))
 	e.Schedule(2, func() { order = append(order, "fn") })
 	e.Run()
-	// All fire at t=2; the callback spawned first, so its wake was
-	// scheduled first... but all three schedule their t=2 events at t=0 in
-	// spawn/statement order: cb (from its t=0 step? no — cb's WakeAfter runs
-	// inside its first step at t=0), g's Sleep also at t=0, fn at t=0.
-	// Spawn order: cb's initial event (seq 1), g's initial event (seq 2),
-	// fn (seq 3). At t=0: cb steps, schedules wake (seq 4); g resumes,
-	// schedules sleep-end (seq 5). So t=2 order: fn, cb, g.
 	want := []string{"fn", "cb", "g"}
 	if len(order) != 3 || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
 		t.Fatalf("order = %v, want %v", order, want)
@@ -209,31 +94,33 @@ func TestWakeAfterOrdering(t *testing.T) {
 
 // TestAllocsEventDispatch is the zero-allocation guard on the engine's
 // event-dispatch hot path: steady-state scheduling, heap push/pop, store
-// handoff and callback resume must not allocate at all. Enforced in CI
+// handoff and process resume must not allocate at all. Enforced in CI
 // without race instrumentation; any regression fails here.
 func TestAllocsEventDispatch(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
 	}
 	e := New()
-	s := NewStore[int](e, 1)
-	e.Spawn("prod", func(p *Proc) {
-		if !s.TryPut(p, 0, p.Now()) {
+	s := NewStore[int](1)
+	budget := 0 // values the producer may still send
+	prod := e.Spawn("prod", func(p *Proc) {
+		if budget == 0 || !s.TryPut(p, 0) {
 			return
 		}
+		budget--
 		p.WakeAfter(1)
 	})
 	e.Spawn("cons", func(p *Proc) {
 		for {
-			if _, _, ready := s.TryGet(p, p.Now()); !ready {
+			if _, ok := s.TryGet(p); !ok {
 				return
 			}
 		}
 	})
-	horizon := 0.0
 	step := func() {
-		horizon += 100
-		e.RunFor(horizon)
+		budget = 100
+		prod.wake()
+		e.Run()
 	}
 	step() // warm the event queue and waiter lists to steady-state capacity
 	if avg := testing.AllocsPerRun(50, step); avg != 0 {

@@ -36,44 +36,45 @@ func TestRunContextUncancelledMatchesRun(t *testing.T) {
 }
 
 // TestRunContextCancelMidRun: cancellation stops the clock mid-simulation
-// and unwinds every process — goroutine and callback — without deadlock.
+// and drops every pending event, so no process steps again.
 func TestRunContextCancelMidRun(t *testing.T) {
 	e := New()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	var goroutineSteps, callbackSteps int
-	e.Go("sleeper", func(p *Proc) {
-		for {
-			p.Sleep(1)
-			goroutineSteps++
-			if goroutineSteps == 100 {
-				cancel()
-			}
+	var sleeperSteps, tickerSteps int
+	e.Spawn("sleeper", func(p *Proc) {
+		if sleeperSteps++; sleeperSteps == 100 {
+			cancel()
 		}
-	})
-	e.Spawn("ticker", func(p *Proc) {
-		callbackSteps++
 		p.WakeAfter(1)
 	})
-	// A proc parked forever on a store with no producer: Cancel must
-	// unwind it too.
-	st := NewStore[int](e, 1)
-	e.Go("starved", func(p *Proc) { st.Get(p) })
+	e.Spawn("ticker", func(p *Proc) {
+		tickerSteps++
+		p.WakeAfter(1)
+	})
+	// A proc waiting forever on a store with no producer.
+	st := NewStore[int](1)
+	e.Spawn("starved", func(p *Proc) { st.TryGet(p) })
 
 	err := e.RunContext(ctx, 8)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if goroutineSteps < 100 || goroutineSteps > 110 {
-		t.Fatalf("goroutine ran %d steps; cancellation not prompt", goroutineSteps)
+	if sleeperSteps < 100 || sleeperSteps > 110 {
+		t.Fatalf("sleeper ran %d steps; cancellation not prompt", sleeperSteps)
 	}
-	if callbackSteps < 90 {
-		t.Fatalf("callback proc ran %d steps before cancel", callbackSteps)
+	if tickerSteps < 90 {
+		t.Fatalf("ticker ran %d steps before cancel", tickerSteps)
 	}
-	// The engine is fully torn down: no live events, nothing parked.
-	if e.Len() != 0 || len(e.parked) != 0 {
-		t.Fatalf("engine not drained: %d events, %d parked", e.Len(), len(e.parked))
+	// The engine is drained: no live events.
+	if e.Len() != 0 {
+		t.Fatalf("engine not drained: %d events", e.Len())
+	}
+	steps := sleeperSteps + tickerSteps
+	e.Run()
+	if sleeperSteps+tickerSteps != steps {
+		t.Fatal("a process stepped after Cancel")
 	}
 }
 

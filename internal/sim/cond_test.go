@@ -2,50 +2,67 @@ package sim
 
 import "testing"
 
+// The WaitList is the engine's condition-wait primitive: a process that
+// cannot proceed registers and returns from its step, and a Broadcast
+// resumes it to re-check its condition.
+
 func TestCondBroadcastWakesAll(t *testing.T) {
 	e := New()
-	c := NewCond(e)
+	var c WaitList
 	woken := 0
 	for i := 0; i < 3; i++ {
-		e.Go("w", func(p *Proc) {
-			c.Wait(p)
+		waiting := false
+		e.Spawn("w", func(p *Proc) {
+			if !waiting {
+				waiting = true
+				c.Add(p)
+				return
+			}
 			woken++
 		})
 	}
-	e.Go("b", func(p *Proc) {
-		p.Sleep(5)
-		if c.Waiting() != 3 {
-			t.Errorf("waiting = %d, want 3", c.Waiting())
+	e.Spawn("b", sleepThen(5, func(*Proc) {
+		if c.Len() != 3 {
+			t.Errorf("waiting = %d, want 3", c.Len())
 		}
 		c.Broadcast()
-	})
+	}))
 	e.Run()
 	if woken != 3 {
 		t.Fatalf("woken = %d, want 3", woken)
 	}
-	if c.Waiting() != 0 {
-		t.Fatalf("waiters not cleared: %d", c.Waiting())
+	if c.Len() != 0 {
+		t.Fatalf("waiters not cleared: %d", c.Len())
 	}
 }
 
 func TestCondPredicateLoop(t *testing.T) {
 	e := New()
-	c := NewCond(e)
+	var c WaitList
 	ready := false
 	var seenAt float64
-	e.Go("waiter", func(p *Proc) {
-		for !ready {
-			c.Wait(p)
+	e.Spawn("waiter", func(p *Proc) {
+		if !ready {
+			c.Add(p)
+			return
 		}
 		seenAt = p.Now()
 	})
 	// Spurious broadcast at t=1 (predicate still false), real one at t=4.
-	e.Go("sig", func(p *Proc) {
-		p.Sleep(1)
-		c.Broadcast()
-		p.Sleep(3)
-		ready = true
-		c.Broadcast()
+	state := 0
+	e.Spawn("sig", func(p *Proc) {
+		switch state {
+		case 0:
+			state = 1
+			p.WakeAfter(1)
+		case 1:
+			c.Broadcast()
+			state = 2
+			p.WakeAfter(3)
+		case 2:
+			ready = true
+			c.Broadcast()
+		}
 	})
 	e.Run()
 	if seenAt != 4 {
@@ -53,35 +70,51 @@ func TestCondPredicateLoop(t *testing.T) {
 	}
 }
 
+// TestCondWaiterKilledAtShutdown: a waiter that is never signalled does not
+// keep Run from returning and is never resumed.
 func TestCondWaiterKilledAtShutdown(t *testing.T) {
 	e := New()
-	c := NewCond(e)
-	reached := false
-	e.Go("stuck", func(p *Proc) {
-		c.Wait(p) // never signalled
-		reached = true
+	var c WaitList
+	steps := 0
+	e.Spawn("stuck", func(p *Proc) {
+		steps++
+		c.Add(p) // never signalled
 	})
 	e.Run()
-	if reached {
-		t.Fatal("stuck waiter should be torn down, not resumed")
+	if steps != 1 || c.Len() != 1 {
+		t.Fatalf("stuck waiter stepped %d times with %d waiters; want 1, 1", steps, c.Len())
 	}
 }
 
-func TestRunForAndShutdown(t *testing.T) {
+// TestWaitListWakeOneFIFO: WakeOne resumes waiters in registration order,
+// one per call.
+func TestWaitListWakeOneFIFO(t *testing.T) {
 	e := New()
-	ticks := 0
-	e.Go("ticker", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Sleep(1)
-			ticks++
-		}
-	})
-	e.RunFor(10.5)
-	if ticks != 10 {
-		t.Fatalf("ticks = %d, want 10", ticks)
+	var c WaitList
+	var order []string
+	for _, name := range []string{"a", "b", "c"} {
+		waiting := false
+		e.Spawn(name, func(p *Proc) {
+			if !waiting {
+				waiting = true
+				c.Add(p)
+				return
+			}
+			order = append(order, name)
+		})
 	}
-	if e.Now() != 10.5 {
-		t.Fatalf("clock = %v, want 10.5", e.Now())
+	e.Spawn("waker", sleepThen(1, func(*Proc) {
+		c.WakeOne()
+		c.WakeOne()
+	}))
+	e.Run()
+	if len(order) != 2 || order[0] != "a" || order[1] != "b" || c.Len() != 1 {
+		t.Fatalf("woken %v with %d left, want [a b] with 1", order, c.Len())
 	}
-	e.Shutdown() // must reclaim the ticker without hanging
+	c.WakeOne()
+	c.WakeOne() // empty list: no-op
+	e.Run()
+	if len(order) != 3 || order[2] != "c" {
+		t.Fatalf("woken %v, want [a b c]", order)
+	}
 }

@@ -1,28 +1,18 @@
 // Package sim implements a deterministic discrete-event simulator used to
-// model the DNN input pipeline: processes, bounded stores, barriers,
-// counting resources and FIFO bandwidth servers.
+// model the DNN input pipeline: processes, bounded stores, barriers, waiter
+// lists and FIFO bandwidth servers.
 //
 // The engine is single-threaded in simulated time: exactly one process runs
 // at any instant, and events that share a timestamp are ordered by their
 // scheduling sequence number, so simulations are bit-reproducible.
 //
-// Processes come in two flavours sharing one Proc type and one set of
-// primitives:
-//
-//   - Goroutine processes (Engine.Go) run ordinary sequential code and may
-//     call the blocking primitives (Store.Put/Get, Barrier.Wait, Sleep).
-//     Each block/resume costs two channel handoffs with the engine
-//     goroutine.
-//   - Callback processes (Engine.Spawn) are the zero-allocation fast path:
-//     a step function runs inline on the engine goroutine at every resume,
-//     keeping its state in a struct instead of on a goroutine stack, and
-//     blocks by registering with a primitive's non-blocking variant
-//     (Store.TryGet/TryPut, Barrier.Arrive) and returning. No goroutine, no
-//     channel operations, no per-step allocations.
-//
-// Both flavours consume engine events identically (every block, wake and
-// sleep maps to the same Schedule calls), so converting a process from one
-// flavour to the other cannot change simulation results.
+// A process (Engine.Spawn) is a step function plus the state it keeps in
+// its own struct. The engine calls the step inline at every resume; the
+// step runs until the process must wait, then registers a wake-up and
+// returns: a timed one (WakeAfter, WakeAt, Ops.Run) or a primitive's
+// waiter list (Store.TryGet/TryPut, Barrier.Arrive, WaitList.Add). The
+// engine is a plain value: no goroutines, no channels, and no per-step
+// allocations on the hot paths.
 package sim
 
 import (
@@ -122,22 +112,15 @@ func (q *eventQueue) siftDown() {
 }
 
 // Engine is a discrete-event simulation engine. Create one with New, spawn
-// processes with Go (goroutine) or Spawn (callback fast path), and drive
-// the simulation with Run.
+// processes with Spawn, and drive the simulation with Run or RunContext.
 type Engine struct {
-	now      float64
-	seq      int64
-	q        eventQueue
-	ctl      chan struct{}
-	parked   []*Proc // goroutine processes blocked on a condition
-	stopping bool
-	live     int
+	now float64
+	seq int64
+	q   eventQueue
 }
 
 // New returns an empty engine at time zero.
-func New() *Engine {
-	return &Engine{ctl: make(chan struct{})}
-}
+func New() *Engine { return &Engine{} }
 
 // Now returns the current simulated time in seconds.
 func (e *Engine) Now() float64 { return e.now }
@@ -145,8 +128,8 @@ func (e *Engine) Now() float64 { return e.now }
 // Len returns the number of pending events.
 func (e *Engine) Len() int { return e.q.n }
 
-// Schedule runs fn after delay seconds of simulated time. fn executes on the
-// engine goroutine and must not block on simulation primitives.
+// Schedule runs fn after delay seconds of simulated time. fn executes
+// inline in the event loop.
 func (e *Engine) Schedule(delay float64, fn func()) {
 	if delay < 0 || math.IsNaN(delay) {
 		panic(fmt.Sprintf("sim: invalid delay %v", delay))
@@ -156,7 +139,7 @@ func (e *Engine) Schedule(delay float64, fn func()) {
 }
 
 // scheduleResume schedules a resume of p after delay. It is the
-// allocation-free internal path every block/wake/sleep goes through.
+// allocation-free internal path every wake-up goes through.
 func (e *Engine) scheduleResume(p *Proc, delay float64) {
 	e.seq++
 	e.q.push(event{t: e.now + delay, seq: e.seq, p: p, kind: evResume})
@@ -165,26 +148,18 @@ func (e *Engine) scheduleResume(p *Proc, delay float64) {
 // dispatch executes one popped event at the current time.
 func (e *Engine) dispatch(ev event) {
 	if ev.kind == evResume {
-		e.resume(ev.p)
+		ev.p.step(ev.p)
 		return
 	}
 	ev.fn()
 }
 
-// killed is the panic payload used to unwind goroutine processes at
-// shutdown.
-type killed struct{}
-
-// Proc is a simulated process. For goroutine processes all blocking methods
-// must be called from the goroutine started by Engine.Go; for callback
-// processes all methods must be called from the step function (which runs
-// on the engine goroutine).
+// Proc is a simulated process. All its methods must be called from its
+// own step function.
 type Proc struct {
-	eng    *Engine
-	wake   chan struct{} // goroutine processes only
-	step   func(p *Proc) // callback processes only
-	name   string
-	killed bool
+	eng  *Engine
+	step func(p *Proc)
+	name string
 }
 
 // Name returns the process name given at spawn time.
@@ -196,105 +171,23 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current simulated time.
 func (p *Proc) Now() float64 { return p.eng.now }
 
-// Go spawns fn as a new simulated goroutine process that starts at the
-// current time.
-func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, wake: make(chan struct{}), name: name}
-	e.live++
-	go func() {
-		<-p.wake
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killed); !ok {
-					panic(r)
-				}
-			}
-			e.live--
-			e.ctl <- struct{}{}
-		}()
-		if p.killed {
-			panic(killed{})
-		}
-		fn(p)
-	}()
-	e.scheduleResume(p, 0)
-	return p
-}
-
-// Spawn registers step as a callback process — the engine fast path — and
-// schedules its first step at the current time. step runs inline on the
-// engine goroutine at every resume; it must never call the blocking
-// primitives (Put/Get/Wait/Sleep). To block, it registers with a
-// non-blocking primitive variant (Store.TryGet, Store.TryPut,
-// Barrier.Arrive) or schedules its own wake-up (WakeAfter) and returns; the
-// engine re-invokes step when the process is resumed.
+// Spawn registers step as a process and schedules its first step at the
+// current time. step runs inline at every resume. To wait, it schedules its
+// own wake-up (WakeAfter, WakeAt) or registers with a primitive (Store.TryGet,
+// Store.TryPut, Barrier.Arrive, WaitList.Add) and returns; the engine calls
+// step again when the process is resumed.
 func (e *Engine) Spawn(name string, step func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name, step: step}
 	e.scheduleResume(p, 0)
 	return p
 }
 
-// resume hands control to p. For a goroutine process it performs the
-// channel handoff and waits until p parks or terminates; for a callback
-// process it invokes the step function inline. It runs on the engine
-// goroutine (inside an event callback).
-func (e *Engine) resume(p *Proc) {
-	if p.step != nil {
-		if !p.killed {
-			p.step(p)
-		}
-		return
-	}
-	p.wake <- struct{}{}
-	<-e.ctl
-}
+// wake resumes p at the current time; primitives call it to release a
+// waiter.
+func (p *Proc) wake() { p.eng.scheduleResume(p, 0) }
 
-// park blocks the calling goroutine process until another event wakes it.
-// The caller is responsible for having registered itself somewhere a wakeup
-// will find it. Callback processes must not park; they return from their
-// step instead.
-func (p *Proc) park() {
-	if p.step != nil {
-		panic("sim: callback process cannot block; use the Try*/Arrive fast-path APIs")
-	}
-	e := p.eng
-	e.parked = append(e.parked, p)
-	e.ctl <- struct{}{}
-	<-p.wake
-	if p.killed {
-		panic(killed{})
-	}
-}
-
-// wakeup schedules a resume of p at the current time and removes it from the
-// parked list. It may be called from process or engine context.
-func (e *Engine) wakeup(p *Proc) {
-	for i, q := range e.parked {
-		if q == p {
-			e.parked = append(e.parked[:i], e.parked[i+1:]...)
-			break
-		}
-	}
-	e.scheduleResume(p, 0)
-}
-
-// Sleep suspends the goroutine process for d seconds of simulated time.
-func (p *Proc) Sleep(d float64) {
-	if d < 0 || math.IsNaN(d) {
-		panic(fmt.Sprintf("sim: invalid sleep %v", d))
-	}
-	e := p.eng
-	e.scheduleResume(p, d)
-	e.ctl <- struct{}{}
-	<-p.wake
-	if p.killed {
-		panic(killed{})
-	}
-}
-
-// WakeAfter schedules the callback process's next step after d seconds of
-// simulated time — the fast-path analog of Sleep. The step function must
-// return right after calling it.
+// WakeAfter schedules the process's next step after d seconds of simulated
+// time. The step function must return right after calling it.
 func (p *Proc) WakeAfter(d float64) {
 	if d < 0 || math.IsNaN(d) {
 		panic(fmt.Sprintf("sim: invalid wake delay %v", d))
@@ -302,25 +195,26 @@ func (p *Proc) WakeAfter(d float64) {
 	p.eng.scheduleResume(p, d)
 }
 
-// SleepUntil suspends the goroutine process until simulated time t (no-op
-// if t has already passed).
-func (p *Proc) SleepUntil(t float64) {
+// WakeAt schedules the process's next step at simulated time t and reports
+// true, or reports false without scheduling anything when t is not in the
+// future, in which case the step carries on inline. It is how a process
+// waits for a FIFO device completion (BandwidthServer.Request).
+func (p *Proc) WakeAt(t float64) bool {
 	if t <= p.eng.now {
-		return
+		return false
 	}
-	p.Sleep(t - p.eng.now)
+	p.eng.scheduleResume(p, t-p.eng.now)
+	return true
 }
 
-// Run executes events until the event queue drains, then terminates any
-// processes still blocked on conditions. After Run returns no process
-// goroutines remain.
+// Run executes events until the event queue drains. Processes still
+// registered on a waiter list simply never step again.
 func (e *Engine) Run() {
 	for e.q.n > 0 {
 		ev := e.q.pop()
 		e.now = ev.t
 		e.dispatch(ev)
 	}
-	e.drainParked()
 }
 
 // DefaultCancelPoll is how many events RunContext dispatches between
@@ -331,11 +225,10 @@ const DefaultCancelPoll = 1024
 
 // RunContext is Run with cooperative cancellation: it polls ctx.Err() every
 // pollEvery events (DefaultCancelPoll when <= 0) and, once the context is
-// cancelled, abandons the remaining event queue, kills every live process,
-// and returns ctx.Err(). A nil error means the simulation ran to completion
-// exactly as Run would have — the poll does not perturb event order, so
-// results are bit-identical to Run for an uncancelled context. After
-// RunContext returns (either way) no process goroutines remain.
+// cancelled, drops the remaining event queue (Cancel) and returns
+// ctx.Err(). A nil error means the simulation ran to completion exactly as
+// Run would have: the poll does not perturb event order, so results are
+// bit-identical to Run for an uncancelled context.
 func (e *Engine) RunContext(ctx context.Context, pollEvery int) error {
 	if pollEvery <= 0 {
 		pollEvery = DefaultCancelPoll
@@ -364,103 +257,14 @@ func (e *Engine) RunContext(ctx context.Context, pollEvery int) error {
 		e.Cancel()
 		return err
 	}
-	e.drainParked()
 	return nil
 }
 
-// drainParked tears down goroutine processes blocked forever on stores/
-// barriers/resources once the queue has drained. (Blocked callback processes
-// hold no goroutine and simply never step again.)
-func (e *Engine) drainParked() {
-	e.stopping = true
-	for len(e.parked) > 0 {
-		p := e.parked[0]
-		n := copy(e.parked, e.parked[1:])
-		e.parked[n] = nil
-		e.parked = e.parked[:n]
-		p.killed = true
-		e.resume(p)
-		// The unwinding process may schedule events (e.g. releasing a
-		// resource wakes another proc); drain them, re-kill, repeat.
-		for e.q.n > 0 {
-			ev := e.q.pop()
-			e.now = ev.t
-			e.dispatch(ev)
-		}
-	}
-}
-
-// Cancel aborts the simulation mid-run: pending user callbacks are dropped
-// without executing, and every process — parked or scheduled — is killed and
-// unwound. Unlike Shutdown it does not simulate the remaining events, so a
-// run with millions of queued events dies in time proportional to the live
-// process count, not the queue length. The clock stays at the cancellation
-// instant.
+// Cancel aborts the simulation mid-run by dropping every pending event
+// unexecuted: no process steps again. It costs time proportional to the
+// queue length, not to the simulated work left. The clock stays at the
+// cancellation instant.
 func (e *Engine) Cancel() {
-	e.stopping = true
-	for {
-		for e.q.n > 0 {
-			ev := e.q.pop()
-			if ev.kind == evResume {
-				ev.p.killed = true
-				if ev.p.step == nil {
-					// Goroutine process waiting on its wake channel:
-					// resume it so it observes killed and unwinds.
-					e.resume(ev.p)
-				}
-				// Callback processes hold no goroutine; the killed flag
-				// stops any further steps.
-			}
-			// evFn callbacks are dropped: the simulation is over and no
-			// process remains to observe their effects.
-		}
-		if len(e.parked) == 0 {
-			return
-		}
-		p := e.parked[0]
-		n := copy(e.parked, e.parked[1:])
-		e.parked[n] = nil
-		e.parked = e.parked[:n]
-		p.killed = true
-		e.resume(p)
-	}
-}
-
-// RunFor executes events until simulated time exceeds horizon or the queue
-// drains, then stops (without tearing down parked processes). Used by
-// experiments that sample a steady state.
-func (e *Engine) RunFor(horizon float64) {
-	for e.q.n > 0 && e.q.ev[0].t <= horizon {
-		ev := e.q.pop()
-		e.now = ev.t
-		e.dispatch(ev)
-	}
-	if e.now < horizon {
-		e.now = horizon
-	}
-}
-
-// Shutdown force-kills every parked process and drains remaining events.
-// Call after RunFor to reclaim goroutines.
-func (e *Engine) Shutdown() {
-	e.stopping = true
-	for {
-		for e.q.n > 0 {
-			ev := e.q.pop()
-			if ev.t > e.now {
-				e.now = ev.t
-			}
-			// During shutdown, resumed procs see killed and unwind.
-			e.dispatch(ev)
-		}
-		if len(e.parked) == 0 {
-			break
-		}
-		p := e.parked[0]
-		n := copy(e.parked, e.parked[1:])
-		e.parked[n] = nil
-		e.parked = e.parked[:n]
-		p.killed = true
-		e.resume(p)
-	}
+	clear(e.q.ev[:e.q.n])
+	e.q.n = 0
 }

@@ -1,249 +1,122 @@
 package sim
 
+import "datastall/internal/stats"
+
+// WaitList is a list of processes waiting for a condition. A process that
+// cannot proceed Adds itself and returns from its step; WakeOne resumes the
+// longest waiter and Broadcast resumes every waiter, in registration order,
+// at the current time. A resumed process re-checks its condition and Adds
+// itself again if it still cannot proceed. The zero value is an empty list.
+type WaitList struct {
+	procs []*Proc
+}
+
+// Add registers p as a waiter.
+func (w *WaitList) Add(p *Proc) { w.procs = append(w.procs, p) }
+
+// Len returns the number of waiters.
+func (w *WaitList) Len() int { return len(w.procs) }
+
+// WakeOne resumes the longest-waiting process, if any. The waiters shift
+// down in place, so the backing array is reused forever.
+func (w *WaitList) WakeOne() {
+	if len(w.procs) == 0 {
+		return
+	}
+	p := w.procs[0]
+	n := copy(w.procs, w.procs[1:])
+	w.procs[n] = nil
+	w.procs = w.procs[:n]
+	p.wake()
+}
+
+// Broadcast resumes every waiter in registration order and empties the list.
+func (w *WaitList) Broadcast() {
+	for i, p := range w.procs {
+		p.wake()
+		w.procs[i] = nil
+	}
+	w.procs = w.procs[:0]
+}
+
 // Store is a bounded FIFO queue of values exchanged between processes.
-// Put blocks while the store is full; Get blocks while it is empty.
-// A capacity of 0 means unbounded.
-//
-// Goroutine processes use Put/Get; callback processes use TryPut/TryGet,
-// which either complete inline or register the process as a waiter and
-// return not-ready. Both pairs run the same code path, consume the same
-// engine events, and accumulate the same blocked-time statistics, so a
-// process can be converted between flavours without changing simulation
-// results.
+// A capacity of 0 means unbounded. TryPut and TryGet either complete inline
+// or register the caller as a waiter; the store resumes a waiting putter
+// when space frees and a waiting getter when a value arrives.
 type Store[T any] struct {
-	eng     *Engine
 	cap     int
 	buf     []T
-	getters []*Proc
-	putters []*Proc
-	closed  bool
-
-	// PutBlocked / GetBlocked accumulate the simulated seconds processes
-	// spent blocked on this store; used for stall accounting.
-	PutBlocked float64
-	GetBlocked float64
+	getters WaitList
+	putters WaitList
 }
 
 // NewStore returns a store with the given capacity (0 = unbounded).
-func NewStore[T any](e *Engine, capacity int) *Store[T] {
-	return &Store[T]{eng: e, cap: capacity}
+func NewStore[T any](capacity int) *Store[T] {
+	return &Store[T]{cap: capacity}
 }
 
 // Len returns the number of buffered values.
 func (s *Store[T]) Len() int { return len(s.buf) }
 
-// popProc removes and returns the head of a waiter list without allocating:
-// the elements shift down in place so the backing array is reused forever.
-func popProc(list *[]*Proc) *Proc {
-	l := *list
-	p := l[0]
-	n := copy(l, l[1:])
-	l[n] = nil
-	*list = l[:n]
-	return p
-}
-
-// Put appends v, blocking while the store is full.
-func (s *Store[T]) Put(p *Proc, v T) {
-	start := s.eng.now
-	for !s.TryPut(p, v, start) {
-		p.park()
-	}
-}
-
-// TryPut is the callback-process fast path for Put: it either appends v
-// (true) or registers p as a waiting putter and returns false, in which
-// case the store resumes p when space frees and p's step must call TryPut
-// again, passing the simulated time of its first attempt as since so
-// blocked-time accounting matches Put exactly.
-func (s *Store[T]) TryPut(p *Proc, v T, since float64) bool {
-	if s.cap > 0 && len(s.buf) >= s.cap && !s.closed {
-		s.putters = append(s.putters, p)
+// TryPut appends v and reports true, or, while the store is full,
+// registers p as a waiting putter and reports false; p's step must then
+// return and call TryPut again when resumed.
+func (s *Store[T]) TryPut(p *Proc, v T) bool {
+	if s.cap > 0 && len(s.buf) >= s.cap {
+		s.putters.Add(p)
 		return false
 	}
-	s.PutBlocked += s.eng.now - since
 	s.buf = append(s.buf, v)
-	if len(s.getters) > 0 {
-		s.eng.wakeup(popProc(&s.getters))
-	}
+	s.getters.WakeOne()
 	return true
 }
 
-// Get removes and returns the oldest value, blocking while empty. The second
-// result is false if the store was closed while empty.
-func (s *Store[T]) Get(p *Proc) (T, bool) {
-	start := s.eng.now
-	for {
-		v, ok, ready := s.TryGet(p, start)
-		if ready {
-			return v, ok
-		}
-		p.park()
-	}
-}
-
-// TryGet is the callback-process fast path for Get: it either pops a value
-// (ready=true), reports closure on an empty store (ready=true, ok=false),
-// or registers p as a waiting getter (ready=false), in which case the store
-// resumes p when a value arrives and p's step must call TryGet again,
-// passing the simulated time of its first attempt as since so blocked-time
-// accounting matches Get exactly.
-func (s *Store[T]) TryGet(p *Proc, since float64) (v T, ok, ready bool) {
+// TryGet removes and returns the oldest value, or, while the store is
+// empty, registers p as a waiting getter and reports false; p's step must
+// then return and call TryGet again when resumed.
+func (s *Store[T]) TryGet(p *Proc) (v T, ok bool) {
 	if len(s.buf) == 0 {
-		if s.closed {
-			s.GetBlocked += s.eng.now - since
-			return v, false, true
-		}
-		s.getters = append(s.getters, p)
-		return v, false, false
+		s.getters.Add(p)
+		return v, false
 	}
-	s.GetBlocked += s.eng.now - since
 	v = s.buf[0]
 	n := copy(s.buf, s.buf[1:])
 	var zero T
 	s.buf[n] = zero
 	s.buf = s.buf[:n]
-	if len(s.putters) > 0 {
-		s.eng.wakeup(popProc(&s.putters))
-	}
-	return v, true, true
+	s.putters.WakeOne()
+	return v, true
 }
 
-// Close marks the store closed and wakes all blocked getters; subsequent Gets
-// on an empty store return ok=false. Puts after Close still succeed (used to
-// flush trailing batches) but never block.
-func (s *Store[T]) Close() {
-	s.closed = true
-	for i, g := range s.getters {
-		s.eng.wakeup(g)
-		s.getters[i] = nil
-	}
-	s.getters = s.getters[:0]
-	for i, q := range s.putters {
-		s.eng.wakeup(q)
-		s.putters[i] = nil
-	}
-	s.putters = s.putters[:0]
-}
-
-// Barrier synchronises n processes: each Wait blocks until all n arrive.
-// It is reusable across generations (like sync.WaitGroup cycles).
+// Barrier synchronises n processes: each generation releases once all n
+// have arrived. It is reusable across generations.
 type Barrier struct {
-	eng     *Engine
 	n       int
 	arrived int
-	waiters []*Proc
-	// Waited accumulates total blocked time across all processes. A
-	// callback process that Arrives without releasing the barrier adds its
-	// own share when it is resumed (see Arrive).
-	Waited float64
+	waiters WaitList
 }
 
 // NewBarrier returns a barrier for n parties.
-func NewBarrier(e *Engine, n int) *Barrier {
+func NewBarrier(n int) *Barrier {
 	if n < 1 {
 		panic("sim: barrier needs n >= 1")
 	}
-	return &Barrier{eng: e, n: n}
+	return &Barrier{n: n}
 }
 
-// Wait blocks until n processes have called Wait for this generation.
-func (b *Barrier) Wait(p *Proc) {
-	if b.Arrive(p) {
-		return
-	}
-	start := b.eng.now
-	p.park()
-	b.Waited += b.eng.now - start
-}
-
-// Arrive is the callback-process fast path for Wait: the arrival is
-// recorded and, if p completed the generation, every earlier arriver is
-// woken and Arrive returns true (proceed inline). Otherwise p is registered
-// as a waiter and Arrive returns false; p's step must return, and when the
-// barrier resumes it, add its blocked time (now - arrival time) to Waited —
-// exactly what Wait does for goroutine processes.
+// Arrive records p's arrival. If p completes the generation, every earlier
+// arriver is resumed and Arrive reports true: p proceeds inline. Otherwise
+// p is registered as a waiter and Arrive reports false; p's step must
+// return, and the barrier resumes it when the generation completes.
 func (b *Barrier) Arrive(p *Proc) bool {
 	b.arrived++
 	if b.arrived >= b.n {
 		b.arrived = 0
-		for i, w := range b.waiters {
-			b.eng.wakeup(w)
-			b.waiters[i] = nil
-		}
-		b.waiters = b.waiters[:0]
+		b.waiters.Broadcast()
 		return true
 	}
-	b.waiters = append(b.waiters, p)
+	b.waiters.Add(p)
 	return false
-}
-
-// Resource is a counting semaphore with FIFO granting.
-type Resource struct {
-	eng     *Engine
-	cap     int
-	inUse   int
-	waiters []*resWaiter
-	// Waited accumulates total blocked time across acquisitions.
-	Waited float64
-}
-
-type resWaiter struct {
-	p *Proc
-	n int
-}
-
-// NewResource returns a resource with the given capacity.
-func NewResource(e *Engine, capacity int) *Resource {
-	if capacity < 1 {
-		panic("sim: resource needs capacity >= 1")
-	}
-	return &Resource{eng: e, cap: capacity}
-}
-
-// InUse returns the currently acquired units.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Acquire blocks until n units are available, then takes them. FIFO order is
-// preserved: a large request at the head blocks later small requests.
-func (r *Resource) Acquire(p *Proc, n int) {
-	if n > r.cap {
-		panic("sim: acquire exceeds resource capacity")
-	}
-	start := r.eng.now
-	for len(r.waiters) > 0 || r.inUse+n > r.cap {
-		w := &resWaiter{p: p, n: n}
-		r.waiters = append(r.waiters, w)
-		p.park()
-		// Woken at the head of the queue; re-check capacity.
-		if len(r.waiters) > 0 && r.waiters[0] == w && r.inUse+n <= r.cap {
-			l := r.waiters
-			m := copy(l, l[1:])
-			l[m] = nil
-			r.waiters = l[:m]
-			break
-		}
-		// Otherwise remove self and retry from scratch.
-		for i, x := range r.waiters {
-			if x == w {
-				r.waiters = append(r.waiters[:i], r.waiters[i+1:]...)
-				break
-			}
-		}
-	}
-	r.Waited += r.eng.now - start
-	r.inUse += n
-}
-
-// Release returns n units and wakes the head waiter if it now fits.
-func (r *Resource) Release(n int) {
-	r.inUse -= n
-	if r.inUse < 0 {
-		panic("sim: resource over-released")
-	}
-	if len(r.waiters) > 0 && r.inUse+r.waiters[0].n <= r.cap {
-		r.eng.wakeup(r.waiters[0].p)
-	}
 }
 
 // BandwidthServer models a FIFO device (disk, NIC) characterised by a
@@ -257,7 +130,6 @@ type BandwidthServer struct {
 	// Stats.
 	Bytes    float64 // total bytes transferred
 	Requests int64   // number of requests
-	Busy     float64 // total service time
 	Waited   float64 // total queueing delay
 }
 
@@ -266,21 +138,10 @@ func NewBandwidthServer(e *Engine) *BandwidthServer {
 	return &BandwidthServer{eng: e}
 }
 
-// Request transfers bytes at bwBytesPerSec with a fixed overhead (e.g. seek
-// time) and blocks the calling process until the transfer completes.
-func (d *BandwidthServer) Request(p *Proc, bytes, bwBytesPerSec, overhead float64) {
-	p.SleepUntil(d.account(bytes, bwBytesPerSec, overhead))
-}
-
-// RequestAsync accounts the transfer and returns its completion time
-// without blocking — the callback-process fast path: the caller schedules
-// its own wake-up (WakeAfter) for the returned time.
-func (d *BandwidthServer) RequestAsync(bytes, bwBytesPerSec, overhead float64) float64 {
-	return d.account(bytes, bwBytesPerSec, overhead)
-}
-
-// account books one FIFO transfer and returns its completion time.
-func (d *BandwidthServer) account(bytes, bwBytesPerSec, overhead float64) float64 {
+// Request books a transfer of bytes at bwBytesPerSec with a fixed overhead
+// (e.g. seek time) behind the device's queued work and returns its
+// completion time. The caller waits for it with Proc.WakeAt.
+func (d *BandwidthServer) Request(bytes, bwBytesPerSec, overhead float64) float64 {
 	if bytes < 0 {
 		panic("sim: negative transfer")
 	}
@@ -296,14 +157,63 @@ func (d *BandwidthServer) account(bytes, bwBytesPerSec, overhead float64) float6
 	d.busyUntil += dur
 	d.Bytes += bytes
 	d.Requests++
-	d.Busy += dur
 	return d.busyUntil
 }
 
-// Utilization returns the fraction of time [0, now] the device was busy.
-func (d *BandwidthServer) Utilization() float64 {
-	if d.eng.now == 0 {
-		return 0
+// Op is one device operation of a process: a FIFO transfer of Bytes at BW
+// bytes/s plus a fixed Overhead on the bandwidth server Srv or, with a nil
+// Srv, an uncontended copy of Bytes at BW (a DRAM read).
+type Op struct {
+	Srv      *BandwidthServer
+	Bytes    float64
+	BW       float64
+	Overhead float64
+	// Trace, when non-nil, receives a (completion time, Bytes) sample.
+	Trace *stats.TimeSeries
+}
+
+// Ops is a reusable list of device operations one process runs back to
+// back: each op is booked when the previous one completes, so it queues on
+// its device exactly as a sequential caller's request would. The list keeps
+// its capacity across Reset, so steady-state use does not allocate.
+type Ops struct {
+	list   []Op
+	next   int  // first op not yet completed
+	booked bool // list[next] is booked and its completion pending
+}
+
+// Add appends op to the list.
+func (o *Ops) Add(op Op) { o.list = append(o.list, op) }
+
+// Reset empties the list for reuse.
+func (o *Ops) Reset() {
+	o.list = o.list[:0]
+	o.next = 0
+	o.booked = false
+}
+
+// Run books the pending ops in order. It reports false when p must wait
+// for an op — p's wake-up is scheduled, so its step must return and call
+// Run again when resumed — and true once every op has completed. Ops added
+// after a completed Run are run by the next call.
+func (o *Ops) Run(p *Proc) bool {
+	for o.next < len(o.list) {
+		op := &o.list[o.next]
+		if !o.booked {
+			o.booked = true
+			if op.Srv == nil {
+				p.WakeAfter(op.Bytes / op.BW)
+				return false
+			}
+			if p.WakeAt(op.Srv.Request(op.Bytes, op.BW, op.Overhead)) {
+				return false
+			}
+		}
+		o.booked = false
+		if op.Trace != nil {
+			op.Trace.Add(p.Now(), op.Bytes)
+		}
+		o.next++
 	}
-	return d.Busy / d.eng.now
+	return true
 }

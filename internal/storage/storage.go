@@ -43,7 +43,6 @@ var (
 type Disk struct {
 	Spec DeviceSpec
 
-	eng *sim.Engine
 	srv *sim.BandwidthServer
 
 	// Trace records (completion time, bytes) per request when enabled.
@@ -52,7 +51,7 @@ type Disk struct {
 
 // NewDisk returns a disk with the given spec attached to e.
 func NewDisk(e *sim.Engine, spec DeviceSpec) *Disk {
-	return &Disk{Spec: spec, eng: e, srv: sim.NewBandwidthServer(e)}
+	return &Disk{Spec: spec, srv: sim.NewBandwidthServer(e)}
 }
 
 // EnableTrace starts recording per-request completions.
@@ -60,27 +59,25 @@ func (d *Disk) EnableTrace(name string) {
 	d.Trace = &stats.TimeSeries{Name: name}
 }
 
-// ReadRandom reads bytes spread over nItems separately-located files,
-// blocking p until the transfer completes. Each item costs one seek.
-func (d *Disk) ReadRandom(p *sim.Proc, bytes float64, nItems int) {
+// ReadRandom appends to ops a read of bytes spread over nItems
+// separately-located files. Each item costs one seek. An empty read
+// appends nothing.
+func (d *Disk) ReadRandom(ops *sim.Ops, bytes float64, nItems int) {
 	if bytes <= 0 && nItems <= 0 {
 		return
 	}
-	d.srv.Request(p, bytes, d.Spec.SeqBW, float64(nItems)*d.Spec.SeekTime)
-	if d.Trace != nil {
-		d.Trace.Add(d.eng.Now(), bytes)
-	}
+	ops.Add(sim.Op{Srv: d.srv, Bytes: bytes, BW: d.Spec.SeqBW,
+		Overhead: float64(nItems) * d.Spec.SeekTime, Trace: d.Trace})
 }
 
-// ReadSequential reads bytes laid out contiguously (one seek total).
-func (d *Disk) ReadSequential(p *sim.Proc, bytes float64) {
+// ReadSequential appends to ops a read of bytes laid out contiguously (one
+// seek total). An empty read appends nothing.
+func (d *Disk) ReadSequential(ops *sim.Ops, bytes float64) {
 	if bytes <= 0 {
 		return
 	}
-	d.srv.Request(p, bytes, d.Spec.SeqBW, d.Spec.SeekTime)
-	if d.Trace != nil {
-		d.Trace.Add(d.eng.Now(), bytes)
-	}
+	ops.Add(sim.Op{Srv: d.srv, Bytes: bytes, BW: d.Spec.SeqBW,
+		Overhead: d.Spec.SeekTime, Trace: d.Trace})
 }
 
 // TotalBytes returns total bytes read from the device.
@@ -88,9 +85,6 @@ func (d *Disk) TotalBytes() float64 { return d.srv.Bytes }
 
 // TotalRequests returns the number of read requests serviced.
 func (d *Disk) TotalRequests() int64 { return d.srv.Requests }
-
-// BusyTime returns total seconds the device spent servicing requests.
-func (d *Disk) BusyTime() float64 { return d.srv.Busy }
 
 // QueueDelay returns total seconds requests spent queued behind others.
 func (d *Disk) QueueDelay() float64 { return d.srv.Waited }
@@ -115,11 +109,12 @@ type Memory struct {
 // NewMemory returns a memory source with the given bandwidth.
 func NewMemory(bw float64) *Memory { return &Memory{BW: bw} }
 
-// Read blocks p for the copy time of bytes from DRAM.
-func (m *Memory) Read(p *sim.Proc, bytes float64) {
+// Read appends to ops a DRAM copy of bytes and counts them as served from
+// memory. An empty read appends nothing.
+func (m *Memory) Read(ops *sim.Ops, bytes float64) {
 	if bytes <= 0 {
 		return
 	}
 	m.Bytes += bytes
-	p.Sleep(bytes / m.BW)
+	ops.Add(sim.Op{Bytes: bytes, BW: m.BW})
 }

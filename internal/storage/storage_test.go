@@ -22,14 +22,29 @@ func TestEffectiveRandomBW(t *testing.T) {
 	}
 }
 
+// run spawns a process that sleeps at seconds, then runs ops back to back
+// and records the time they complete in done.
+func run(e *sim.Engine, at float64, ops *sim.Ops, done *float64) {
+	slept := at == 0
+	e.Spawn("r", func(p *sim.Proc) {
+		if !slept {
+			slept = true
+			p.WakeAfter(at)
+			return
+		}
+		if ops.Run(p) {
+			*done = p.Now()
+		}
+	})
+}
+
 func TestDiskReadTiming(t *testing.T) {
 	e := sim.New()
 	d := NewDisk(e, DeviceSpec{Name: "t", SeqBW: 100, SeekTime: 1})
+	var ops sim.Ops
+	d.ReadRandom(&ops, 200, 2) // 2 seeks (2s) + 200/100 (2s) = 4s
 	var done float64
-	e.Go("r", func(p *sim.Proc) {
-		d.ReadRandom(p, 200, 2) // 2 seeks (2s) + 200/100 (2s) = 4s
-		done = p.Now()
-	})
+	run(e, 0, &ops, &done)
 	e.Run()
 	if done != 4 {
 		t.Fatalf("read finished at %v, want 4", done)
@@ -42,16 +57,12 @@ func TestDiskReadTiming(t *testing.T) {
 func TestDiskFIFOContention(t *testing.T) {
 	e := sim.New()
 	d := NewDisk(e, DeviceSpec{Name: "t", SeqBW: 100, SeekTime: 0})
+	var a, b sim.Ops
+	d.ReadSequential(&a, 1000) // 10s
+	d.ReadSequential(&b, 100)  // at t=1 queues: done at 11
 	var t1, t2 float64
-	e.Go("a", func(p *sim.Proc) {
-		d.ReadSequential(p, 1000) // 10s
-		t1 = p.Now()
-	})
-	e.Go("b", func(p *sim.Proc) {
-		p.Sleep(1)
-		d.ReadSequential(p, 100) // queues: done at 11
-		t2 = p.Now()
-	})
+	run(e, 0, &a, &t1)
+	run(e, 1, &b, &t2)
 	e.Run()
 	if t1 != 10 || t2 != 11 {
 		t.Fatalf("t1=%v t2=%v, want 10, 11", t1, t2)
@@ -65,11 +76,12 @@ func TestDiskTrace(t *testing.T) {
 	e := sim.New()
 	d := NewDisk(e, SSD)
 	d.EnableTrace("io")
-	e.Go("r", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			d.ReadRandom(p, stats.MiB, 1)
-		}
-	})
+	var ops sim.Ops
+	for i := 0; i < 3; i++ {
+		d.ReadRandom(&ops, stats.MiB, 1)
+	}
+	var done float64
+	run(e, 0, &ops, &done)
 	e.Run()
 	if d.Trace.Len() != 3 {
 		t.Fatalf("trace has %d points", d.Trace.Len())
@@ -77,16 +89,18 @@ func TestDiskTrace(t *testing.T) {
 	if math.Abs(d.Trace.Sum()-3*stats.MiB) > 1 {
 		t.Fatalf("trace sum %v", d.Trace.Sum())
 	}
+	if d.Trace.Times[2] != done {
+		t.Fatalf("last sample at %v, want the completion time %v", d.Trace.Times[2], done)
+	}
 }
 
 func TestMemoryRead(t *testing.T) {
 	e := sim.New()
 	m := NewMemory(1000)
+	var ops sim.Ops
+	m.Read(&ops, 500)
 	var done float64
-	e.Go("r", func(p *sim.Proc) {
-		m.Read(p, 500)
-		done = p.Now()
-	})
+	run(e, 0, &ops, &done)
 	e.Run()
 	if done != 0.5 {
 		t.Fatalf("memory read at %v, want 0.5", done)
@@ -100,15 +114,17 @@ func TestZeroByteReadsAreFree(t *testing.T) {
 	e := sim.New()
 	d := NewDisk(e, SSD)
 	m := NewMemory(1000)
-	var done float64
-	e.Go("r", func(p *sim.Proc) {
-		d.ReadRandom(p, 0, 0)
-		d.ReadSequential(p, 0)
-		m.Read(p, 0)
-		done = p.Now()
-	})
+	var ops sim.Ops
+	d.ReadRandom(&ops, 0, 0)
+	d.ReadSequential(&ops, 0)
+	m.Read(&ops, 0)
+	done := -1.0
+	run(e, 0, &ops, &done)
 	e.Run()
 	if done != 0 {
 		t.Fatalf("zero reads consumed time: %v", done)
+	}
+	if d.TotalRequests() != 0 {
+		t.Fatalf("zero reads booked %d requests", d.TotalRequests())
 	}
 }

@@ -235,7 +235,6 @@ type coordJobStats struct {
 	snaps   []snapshot
 	samples int
 	fetch   loader.FetchResult
-	waitGet float64
 }
 
 func (rt *coordRuntime) setup() {
@@ -279,26 +278,25 @@ func (rt *coordRuntime) setup() {
 	rt.produced = make([]int, cc.NumJobs)
 	for j := 0; j < cc.NumJobs; j++ {
 		rt.jobs = append(rt.jobs, &coordJobStats{
-			barrier: sim.NewBarrier(rt.eng, cc.GPUsPerJob),
+			barrier: sim.NewBarrier(cc.GPUsPerJob),
 		})
 		rt.prepSrv = append(rt.prepSrv, sim.NewBandwidthServer(rt.eng))
 	}
 }
 
+// launch spawns, per job, its producers and then its GPU consumers, plus
+// the failure detector when a job is to be killed. Every process is a
+// callback state machine.
 func (rt *coordRuntime) launch() {
 	cc := rt.cc
 	for j := 0; j < cc.NumJobs; j++ {
 		for k := 0; k < rt.producers; k++ {
-			j, k := j, k
-			rt.eng.Go(fmt.Sprintf("coord-prod-%d-%d", j, k), func(p *sim.Proc) {
-				rt.producer(p, j, k, 0)
-			})
+			sm := &coordProducerSM{rt: rt, j: j, n: k, first: k, stride: rt.producers}
+			rt.eng.Spawn(fmt.Sprintf("coord-prod-%d-%d", j, k), sm.step)
 		}
 		for g := 0; g < cc.GPUsPerJob; g++ {
-			j, g := j, g
-			rt.eng.Go(fmt.Sprintf("coord-gpu-%d-%d", j, g), func(p *sim.Proc) {
-				rt.consumer(p, j, g)
-			})
+			sm := &coordConsumerSM{rt: rt, j: j, g: g}
+			rt.eng.Spawn(fmt.Sprintf("coord-gpu-%d-%d", j, g), sm.step)
 		}
 	}
 	if cc.KillJob >= 0 {
@@ -308,15 +306,13 @@ func (rt *coordRuntime) launch() {
 			Alive:   func(job int) bool { return !(job == cc.KillJob && rt.jobDead) },
 			Recover: func(job int) {
 				rt.staging.RemoveJob(job)
-				rt.eng.Go("coord-recovery", func(p *sim.Proc) {
-					rt.recoveryProducer(p, job)
-				})
+				sm := &coordProducerSM{rt: rt, j: job, recovery: true,
+					state: cpTakeOver, stride: 1}
+				rt.eng.Spawn("coord-recovery", sm.step)
 			},
+			Horizon: float64(rt.itersPerGPU*cc.Base.Epochs) * rt.iterTime * 50,
 		}
-		horizon := float64(rt.itersPerGPU*cc.Base.Epochs) * rt.iterTime * 50
-		rt.eng.Go("failure-detector", func(p *sim.Proc) {
-			rt.detector.Run(p, horizon)
-		})
+		rt.eng.Spawn("failure-detector", rt.detector.Run)
 	}
 }
 
@@ -337,95 +333,194 @@ func (rt *coordRuntime) shardOrder(j, epoch int) []dataset.ItemID {
 	return order
 }
 
-// producer fetches and preps job j's shard, staging batches for all jobs.
-// Producer k handles batches k, k+P, ... of the shard. startEpoch lets a
-// recovery producer resume mid-run.
-func (rt *coordRuntime) producer(p *sim.Proc, j, k, startEpoch int) {
+// coordProducerState enumerates the coordinated producer's resume points.
+type coordProducerState int
+
+const (
+	cpEpoch    coordProducerState = iota // wait for the epoch to open
+	cpTakeOver                           // recovery: find where the dead job stopped
+	cpBatch                              // next batch, or the epoch's end
+	cpFetch                              // running the batch's device ops
+	cpPrep                               // running its prep and staging copy
+	cpPut                                // staging the prepared batch
+	cpDone
+)
+
+// coordProducerSM fetches and preps job j's shard, staging batches for all
+// jobs: batches n, n+stride, ... of each epoch, where a regular producer k
+// of P starts every epoch at batch k with stride P. A recovery producer
+// takes over a dead job's shard from the first batch it did not produce,
+// one batch at a time; it is never killed and, as the dead job's
+// accounting has stopped, adds nothing to the job's fetch counters.
+type coordProducerSM struct {
+	rt       *coordRuntime
+	j        int
+	first    int // batch each epoch after the starting one begins at
+	stride   int
+	recovery bool
+	state    coordProducerState
+	epoch    int
+	n        int // next batch of the epoch
+	order    []dataset.ItemID
+	batch    *core.Batch
+	res      loader.FetchResult
+	ops      sim.Ops
+}
+
+// step runs the producer until it waits (for the epoch to open, on a
+// device or on staging space) or finishes.
+func (sm *coordProducerSM) step(p *sim.Proc) {
+	rt := sm.rt
 	cc := rt.cc
 	base := cc.Base
-	for e := startEpoch; e < base.Epochs; e++ {
-		rt.staging.WaitEpochStart(p, e)
-		order := rt.shardOrder(j, e)
-		epochBase := e * cc.NumJobs * rt.batchesPerJob
-		for n := k; n < rt.batchesPerJob; n += rt.producers {
-			if cc.KillJob == j && rt.produced[j] >= cc.KillAfterBatches {
-				rt.jobDead = true
+	for {
+		switch sm.state {
+		case cpTakeOver:
+			done := rt.produced[sm.j]
+			sm.epoch, sm.n = done/rt.batchesPerJob, done%rt.batchesPerJob
+			sm.state = cpEpoch
+		case cpEpoch:
+			if sm.epoch >= base.Epochs {
+				sm.state = cpDone
 				return
 			}
-			items := order[n*base.Batch : (n+1)*base.Batch]
-			res := rt.fetcher.FetchBatch(p, 0, items)
-			rt.jobs[j].fetch.Add(res)
-			raw := res.MemBytes + res.DiskBytes + res.NetBytes
-			rt.prepSrv[j].Request(p, raw, rt.prepRate, 0)
-			// Write the prepared batch into shared memory.
-			rt.cl.Servers[0].Staging.Request(p, rt.prepBatch, base.Spec.StagingBW, 0)
-			rt.staging.Put(p, &core.Batch{
-				Index: epochBase + n*cc.NumJobs + j,
-				Owner: j, Items: items, PreparedBytes: rt.prepBatch,
-			})
-			rt.produced[j]++
-		}
-	}
-}
-
-// recoveryProducer takes over a dead job's shard from where it stopped.
-func (rt *coordRuntime) recoveryProducer(p *sim.Proc, j int) {
-	cc := rt.cc
-	base := cc.Base
-	done := rt.produced[j]
-	epoch := done / rt.batchesPerJob
-	offset := done % rt.batchesPerJob
-	for e := epoch; e < base.Epochs; e++ {
-		rt.staging.WaitEpochStart(p, e)
-		order := rt.shardOrder(j, e)
-		epochBase := e * cc.NumJobs * rt.batchesPerJob
-		start := 0
-		if e == epoch {
-			start = offset
-		}
-		for n := start; n < rt.batchesPerJob; n++ {
-			items := order[n*base.Batch : (n+1)*base.Batch]
-			res := rt.fetcher.FetchBatch(p, 0, items)
-			raw := res.MemBytes + res.DiskBytes + res.NetBytes
-			rt.prepSrv[j].Request(p, raw, rt.prepRate, 0)
-			rt.cl.Servers[0].Staging.Request(p, rt.prepBatch, base.Spec.StagingBW, 0)
-			rt.staging.Put(p, &core.Batch{
-				Index: epochBase + n*cc.NumJobs + j,
-				Owner: j, Items: items, PreparedBytes: rt.prepBatch,
-			})
-		}
-	}
-}
-
-// consumer is GPU g of job j: it reads every staged batch exactly once.
-func (rt *coordRuntime) consumer(p *sim.Proc, j, g int) {
-	cc := rt.cc
-	base := cc.Base
-	js := rt.jobs[j]
-	for e := 0; e < base.Epochs; e++ {
-		epochBase := e * cc.NumJobs * rt.batchesPerJob
-		hi := epochBase + cc.NumJobs*rt.batchesPerJob
-		for it := 0; it < rt.itersPerGPU; it++ {
-			if cc.KillJob == j && rt.jobDead {
-				return // the killed job's consumers exit too
+			if !rt.staging.TryEpochStart(p, sm.epoch) {
+				return
 			}
-			t0 := p.Now()
-			rt.staging.GetAny(p, j, epochBase, hi)
-			js.waitGet += p.Now() - t0
-			// Copy the prepared batch out of shared memory.
-			rt.cl.Servers[0].Staging.Request(p, rt.prepBatch, base.Spec.StagingBW, 0)
-			p.Sleep(rt.iterTime)
-			js.barrier.Wait(p)
+			sm.order = rt.shardOrder(sm.j, sm.epoch)
+			sm.state = cpBatch
+		case cpBatch:
+			if sm.n >= rt.batchesPerJob {
+				sm.epoch++
+				sm.n = sm.first
+				sm.state = cpEpoch
+				continue
+			}
+			if !sm.recovery && cc.KillJob == sm.j && rt.produced[sm.j] >= cc.KillAfterBatches {
+				rt.jobDead = true
+				sm.state = cpDone
+				return
+			}
+			items := sm.order[sm.n*base.Batch : (sm.n+1)*base.Batch]
+			sm.batch = &core.Batch{
+				Index: sm.epoch*cc.NumJobs*rt.batchesPerJob + sm.n*cc.NumJobs + sm.j,
+				Owner: sm.j, Items: items, PreparedBytes: rt.prepBatch,
+			}
+			sm.ops.Reset()
+			sm.res = rt.fetcher.FetchBatch(&sm.ops, 0, items)
+			sm.state = cpFetch
+		case cpFetch:
+			if !sm.ops.Run(p) {
+				return
+			}
+			if !sm.recovery {
+				rt.jobs[sm.j].fetch.Add(sm.res)
+			}
+			raw := sm.res.MemBytes + sm.res.DiskBytes + sm.res.NetBytes
+			sm.ops.Add(sim.Op{Srv: rt.prepSrv[sm.j], Bytes: raw, BW: rt.prepRate})
+			// Write the prepared batch into shared memory.
+			sm.ops.Add(sim.Op{Srv: rt.cl.Servers[0].Staging,
+				Bytes: rt.prepBatch, BW: base.Spec.StagingBW})
+			sm.state = cpPrep
+		case cpPrep:
+			if !sm.ops.Run(p) {
+				return
+			}
+			sm.state = cpPut
+		case cpPut:
+			if !rt.staging.TryPut(p, sm.batch) {
+				return
+			}
+			rt.produced[sm.j]++
+			sm.n += sm.stride
+			sm.state = cpBatch
+		case cpDone:
+			return
 		}
-		js.samples += rt.itersPerGPU * base.Batch * cc.GPUsPerJob
-		if g == 0 {
-			js.snaps = append(js.snaps, snapshot{
-				t:       rt.eng.Now(),
-				disk:    rt.cl.TotalDiskBytes(),
-				fetch:   js.fetch,
-				samples: js.samples,
-			})
-			rt.staging.JobEpochDone(e)
+	}
+}
+
+// coordConsumerState enumerates the coordinated consumer's resume points.
+type coordConsumerState int
+
+const (
+	ccIter    coordConsumerState = iota // next iteration, or the epoch's end
+	ccGet                               // taking a staged batch
+	ccCopy                              // batch copied out; compute
+	ccCompute                           // compute done; job barrier
+	ccNext                              // barrier passed
+	ccDone
+)
+
+// coordConsumerSM is GPU g of job j: per epoch it reads every staged batch
+// exactly once, copying each out of shared memory, computing and meeting
+// the job's other GPUs at its barrier. A killed job's consumers exit too.
+type coordConsumerSM struct {
+	rt    *coordRuntime
+	j, g  int
+	state coordConsumerState
+	epoch int
+	it    int
+}
+
+// step runs the consumer until it waits (for a batch, a timed wake or the
+// job barrier) or finishes.
+func (sm *coordConsumerSM) step(p *sim.Proc) {
+	rt := sm.rt
+	cc := rt.cc
+	base := cc.Base
+	js := rt.jobs[sm.j]
+	for {
+		switch sm.state {
+		case ccIter:
+			if sm.epoch >= base.Epochs {
+				sm.state = ccDone
+				return
+			}
+			if sm.it < rt.itersPerGPU {
+				if cc.KillJob == sm.j && rt.jobDead {
+					sm.state = ccDone
+					return
+				}
+				sm.state = ccGet
+				continue
+			}
+			js.samples += rt.itersPerGPU * base.Batch * cc.GPUsPerJob
+			if sm.g == 0 {
+				js.snaps = append(js.snaps, snapshot{
+					t:       rt.eng.Now(),
+					disk:    rt.cl.TotalDiskBytes(),
+					fetch:   js.fetch,
+					samples: js.samples,
+				})
+				rt.staging.JobEpochDone(sm.epoch)
+			}
+			sm.epoch++
+			sm.it = 0
+		case ccGet:
+			lo := sm.epoch * cc.NumJobs * rt.batchesPerJob
+			if _, ok := rt.staging.TryGetAny(p, sm.j, lo, lo+cc.NumJobs*rt.batchesPerJob); !ok {
+				return
+			}
+			// Copy the prepared batch out of shared memory.
+			sm.state = ccCopy
+			if p.WakeAt(rt.cl.Servers[0].Staging.Request(rt.prepBatch, base.Spec.StagingBW, 0)) {
+				return
+			}
+		case ccCopy:
+			sm.state = ccCompute
+			p.WakeAfter(rt.iterTime)
+			return
+		case ccCompute:
+			sm.state = ccNext
+			if !js.barrier.Arrive(p) {
+				return
+			}
+		case ccNext:
+			sm.it++
+			sm.state = ccIter
+		case ccDone:
+			return
 		}
 	}
 }

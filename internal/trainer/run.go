@@ -106,10 +106,8 @@ type jobRuntime struct {
 
 	plans map[int]*epochPlan
 
-	// Cumulative counters (single-threaded simulation: plain fields).
-	fetch    loader.FetchResult
-	prepBusy float64
-	waitGet  float64
+	// Cumulative fetch counters (single-threaded simulation: plain field).
+	fetch loader.FetchResult
 
 	// Per-epoch snapshots taken by the coordinator GPU.
 	snaps []snapshot
@@ -246,8 +244,8 @@ func newJobRuntime(cfg Config, eng *sim.Engine, cl *cluster.Cluster) (*jobRuntim
 	return newJobRuntimeWith(cfg, eng, cl, f, owner)
 }
 
-// newJobRuntimeWith builds a job over a shared (possibly cross-job) fetcher;
-// used by RunConcurrent where several jobs contend on one server's caches.
+// newJobRuntimeWith builds a job over a given fetcher; runIndependent passes
+// one fetcher shared by several jobs that contend on one server's caches.
 func newJobRuntimeWith(cfg Config, eng *sim.Engine, cl *cluster.Cluster, f loader.Fetcher, owner []dataset.Shard) (*jobRuntime, error) {
 	rt := &jobRuntime{cfg: cfg, eng: eng, cl: cl, plans: map[int]*epochPlan{}}
 	rt.fetcher = f
@@ -283,16 +281,16 @@ func newJobRuntimeWith(cfg Config, eng *sim.Engine, cl *cluster.Cluster, f loade
 			cfg.Dataset.Name, cfg.NumServers, cfg.GPUsPerServer, cfg.Batch)
 	}
 
-	rt.barrier = sim.NewBarrier(eng, cfg.NumServers*cfg.GPUsPerServer)
-	rt.epochBarrier = sim.NewBarrier(eng,
-		cfg.NumServers*cfg.GPUsPerServer*(1+rt.producersPerGPU))
+	rt.barrier = sim.NewBarrier(cfg.NumServers * cfg.GPUsPerServer)
+	rt.epochBarrier = sim.NewBarrier(
+		cfg.NumServers * cfg.GPUsPerServer * (1 + rt.producersPerGPU))
 	rt.stores = make([][]*sim.Store[prepped], cfg.NumServers)
 	rt.prepSrv = make([][]*sim.BandwidthServer, cfg.NumServers)
 	for s := range rt.stores {
 		rt.stores[s] = make([]*sim.Store[prepped], cfg.GPUsPerServer)
 		rt.prepSrv[s] = make([]*sim.BandwidthServer, cfg.GPUsPerServer)
 		for g := range rt.stores[s] {
-			rt.stores[s][g] = sim.NewStore[prepped](eng, cfg.PrefetchDepth)
+			rt.stores[s][g] = sim.NewStore[prepped](cfg.PrefetchDepth)
 			rt.prepSrv[s][g] = sim.NewBandwidthServer(eng)
 		}
 	}
@@ -331,20 +329,15 @@ func (rt *jobRuntime) plan(epoch int) *epochPlan {
 	return pl
 }
 
-// launch spawns all producer and consumer processes. Producers run as
-// goroutine processes (they drive the fetcher stack's blocking device
-// requests); consumers run as callback state machines on the engine
-// goroutine — the sim fast path — which removes two channel handoffs per
-// blocking operation without changing the event sequence.
+// launch spawns all producer and consumer processes: per GPU, its
+// producers and then its consumer, each a callback state machine.
 func (rt *jobRuntime) launch() {
 	cfg := rt.cfg
 	for s := 0; s < cfg.NumServers; s++ {
 		for g := 0; g < cfg.GPUsPerServer; g++ {
 			for k := 0; k < rt.producersPerGPU; k++ {
-				s, g, k := s, g, k
-				rt.eng.Go(fmt.Sprintf("prod-%d-%d-%d", s, g, k), func(p *sim.Proc) {
-					rt.producer(p, s, g, k)
-				})
+				sm := &producerSM{rt: rt, server: s, g: g, k: k}
+				rt.eng.Spawn(fmt.Sprintf("prod-%d-%d-%d", s, g, k), sm.step)
 			}
 			sm := &consumerSM{rt: rt, server: s, g: g}
 			rt.eng.Spawn(fmt.Sprintf("gpu-%d-%d", s, g), sm.step)
@@ -352,72 +345,146 @@ func (rt *jobRuntime) launch() {
 	}
 }
 
-// producer fetches and pre-processes this GPU's share of batches.
-func (rt *jobRuntime) producer(p *sim.Proc, server, g, k int) {
+// producerState enumerates the producer's resume points.
+type producerState int
+
+const (
+	psEpoch     producerState = iota // start the next epoch
+	psTail                           // next epoch-0 owner-shard tail chunk
+	psTailFetch                      // running a tail chunk's device ops
+	psBatch                          // next batch, or the epoch barrier
+	psFetch                          // running a batch's device ops
+	psPrep                           // running the batch's prep
+	psPut                            // handing the batch to the GPU's store
+	psEpochDone                      // epoch barrier passed
+	psDone
+)
+
+// producerSM is producer k of GPU g on a server: it fetches and
+// pre-processes batches k, k+P, ... of the GPU's share of each epoch, hands
+// them to the GPU's store and meets the consumers at the epoch barrier.
+// FetchBatch resolves cache lookups at once and fills ops with the batch's
+// device operations; the producer runs them back to back, then books the
+// batch's prep.
+type producerSM struct {
+	rt           *jobRuntime
+	server, g, k int
+	state        producerState
+	epoch        int
+	pl           *epochPlan
+	c            int // epoch-0 tail chunk
+	it           int // iteration
+	res          loader.FetchResult
+	raw          float64 // fetched bytes of the current batch
+	ops          sim.Ops
+}
+
+// step runs the producer until it waits (on a device, the store or the
+// epoch barrier) or finishes.
+func (sm *producerSM) step(p *sim.Proc) {
+	rt := sm.rt
 	cfg := rt.cfg
-	for e := 0; e < cfg.Epochs; e++ {
-		pl := rt.plan(e)
-		order := pl.orders[server]
-		if e == 0 && g == 0 && rt.ownerShards != nil {
-			// Partitioned caching populates each server's cache with
-			// its *entire* owner shard in the first epoch (§4.2);
-			// drop-last truncation must not leave a tail uncached.
-			tail := order[pl.iters*cfg.Batch*cfg.GPUsPerServer:]
-			for c := k; c*cfg.Batch < len(tail); c += rt.producersPerGPU {
-				i := c * cfg.Batch
-				j := i + cfg.Batch
-				if j > len(tail) {
-					j = len(tail)
-				}
-				rt.fetch.Add(rt.fetcher.FetchBatch(p, server, tail[i:j]))
+	for {
+		switch sm.state {
+		case psEpoch:
+			if sm.epoch >= cfg.Epochs {
+				sm.state = psDone
+				return
 			}
-		}
-		for it := k; it < pl.iters; it += rt.producersPerGPU {
-			bi := it*cfg.GPUsPerServer + g
-			items := order[bi*cfg.Batch : (bi+1)*cfg.Batch]
-			res := rt.fetcher.FetchBatch(p, server, items)
-			rt.fetch.Add(res)
-			raw := res.MemBytes + res.DiskBytes + res.NetBytes
-			if cfg.FetchMode != Synthetic && raw > 0 {
-				rt.prepSrv[server][g].Request(p, raw, rt.prepRatePerGPU, 0)
-				dur := raw / rt.prepRatePerGPU
-				rt.prepBusy += dur
-				if rt.cpuTrace != nil {
-					rt.cpuTrace.Add(p.Now(), dur)
-				}
+			sm.pl = rt.plan(sm.epoch)
+			sm.c, sm.it = sm.k, sm.k
+			sm.state = psBatch
+			if sm.epoch == 0 && sm.g == 0 && rt.ownerShards != nil {
+				// Partitioned caching populates each server's cache
+				// with its *entire* owner shard in the first epoch
+				// (§4.2); drop-last truncation must not leave a tail
+				// uncached.
+				sm.state = psTail
 			}
-			rt.stores[server][g].Put(p, prepped{rawBytes: raw})
+		case psTail:
+			tail := sm.pl.orders[sm.server][sm.pl.iters*cfg.Batch*cfg.GPUsPerServer:]
+			i := sm.c * cfg.Batch
+			if i >= len(tail) {
+				sm.state = psBatch
+				continue
+			}
+			j := min(i+cfg.Batch, len(tail))
+			sm.ops.Reset()
+			sm.res = rt.fetcher.FetchBatch(&sm.ops, sm.server, tail[i:j])
+			sm.state = psTailFetch
+		case psTailFetch:
+			if !sm.ops.Run(p) {
+				return
+			}
+			rt.fetch.Add(sm.res)
+			sm.c += rt.producersPerGPU
+			sm.state = psTail
+		case psBatch:
+			if sm.it >= sm.pl.iters {
+				sm.state = psEpochDone
+				if !rt.epochBarrier.Arrive(p) {
+					return
+				}
+				continue
+			}
+			bi := sm.it*cfg.GPUsPerServer + sm.g
+			items := sm.pl.orders[sm.server][bi*cfg.Batch : (bi+1)*cfg.Batch]
+			sm.ops.Reset()
+			sm.res = rt.fetcher.FetchBatch(&sm.ops, sm.server, items)
+			sm.state = psFetch
+		case psFetch:
+			if !sm.ops.Run(p) {
+				return
+			}
+			rt.fetch.Add(sm.res)
+			sm.raw = sm.res.MemBytes + sm.res.DiskBytes + sm.res.NetBytes
+			sm.state = psPut
+			if cfg.FetchMode != Synthetic && sm.raw > 0 {
+				sm.ops.Add(sim.Op{Srv: rt.prepSrv[sm.server][sm.g],
+					Bytes: sm.raw, BW: rt.prepRatePerGPU})
+				sm.state = psPrep
+			}
+		case psPrep:
+			if !sm.ops.Run(p) {
+				return
+			}
+			if rt.cpuTrace != nil {
+				rt.cpuTrace.Add(p.Now(), sm.raw/rt.prepRatePerGPU)
+			}
+			sm.state = psPut
+		case psPut:
+			if !rt.stores[sm.server][sm.g].TryPut(p, prepped{rawBytes: sm.raw}) {
+				return
+			}
+			sm.it += rt.producersPerGPU
+			sm.state = psBatch
+		case psEpochDone:
+			sm.epoch++
+			sm.state = psEpoch
+		case psDone:
+			return
 		}
-		rt.epochBarrier.Wait(p)
 	}
 }
 
-// consumerState enumerates the points where the old goroutine consumer
-// blocked; the state machine resumes from the matching state.
+// consumerState enumerates the consumer's resume points.
 type consumerState int
 
 const (
-	csInit              consumerState = iota
-	csLoop                            // decide: next iteration or epoch end
-	csGet                             // trying to pop a prepped batch
-	csCompute                         // woke from the iterTime sleep
-	csBarrierWoken                    // woken by the iteration barrier
-	csAfterBarrier                    // barrier passed; account comm
-	csComm                            // woke from the comm-extra sleep
-	csEpochBarrierWoken               // woken by the epoch barrier
-	csEpochDone                       // epoch barrier passed
+	csInit         consumerState = iota
+	csLoop                       // decide: next iteration or epoch end
+	csGet                        // trying to pop a prepped batch
+	csCompute                    // woke from the iterTime wait
+	csAfterBarrier               // iteration barrier passed; account comm
+	csComm                       // woke from the comm-extra wait
+	csEpochDone                  // epoch barrier passed
 	csDone
 )
 
-// consumerSM is one GPU consumer run as a callback process on the engine
-// goroutine (the sim fast path): the same blocking structure as a goroutine
-// consumer — store Get, compute sleep, iteration barrier, optional
-// communication sleep, epoch barrier — with the loop state held explicitly
-// in the struct instead of on a goroutine stack. It consumes exactly the
-// event sequence the goroutine version did (blocks register with the same
-// primitives, wakes schedule the same events), so simulation output is
-// bit-identical; it just never pays the two channel handoffs per blocking
-// operation.
+// consumerSM is one GPU consumer: per iteration it takes a prepped batch
+// from its store, computes for iterTime, meets the other GPUs at the
+// iteration barrier and waits out any unoverlapped gradient exchange; at
+// the epoch's end it meets the producers at the epoch barrier.
 type consumerSM struct {
 	rt        *jobRuntime
 	server, g int
@@ -426,11 +493,10 @@ type consumerSM struct {
 	it        int
 	samples   int
 	pl        *epochPlan
-	since     float64 // first-attempt time of the pending block
 }
 
-// step runs the consumer until it blocks (registered with a primitive or
-// scheduled a wake) or finishes.
+// step runs the consumer until it waits (on its store, a barrier or a
+// timed wake) or finishes.
 func (sm *consumerSM) step(p *sim.Proc) {
 	rt := sm.rt
 	cfg := rt.cfg
@@ -442,45 +508,31 @@ func (sm *consumerSM) step(p *sim.Proc) {
 			sm.state = csLoop
 		case csLoop:
 			if sm.it < sm.pl.iters {
-				sm.since = p.Now()
 				sm.state = csGet
 				continue
 			}
 			sm.samples += sm.pl.iters * cfg.Batch * cfg.GPUsPerServer * cfg.NumServers
-			// Snapshot before the epoch barrier: producers are parked
+			// Snapshot before the epoch barrier: producers are waiting
 			// there, so no next-epoch I/O has been issued yet.
 			if sm.server == 0 && sm.g == 0 {
 				rt.endEpoch(sm.samples)
 			}
+			sm.state = csEpochDone
 			if !rt.epochBarrier.Arrive(p) {
-				sm.since = p.Now()
-				sm.state = csEpochBarrierWoken
 				return
 			}
-			sm.state = csEpochDone
 		case csGet:
-			_, ok, ready := rt.stores[sm.server][sm.g].TryGet(p, sm.since)
-			if !ready {
+			if _, ok := rt.stores[sm.server][sm.g].TryGet(p); !ok {
 				return // registered as a getter; re-stepped on wakeup
 			}
-			if !ok {
-				sm.state = csDone
-				return
-			}
-			rt.waitGet += p.Now() - sm.since
 			sm.state = csCompute
 			p.WakeAfter(rt.iterTime)
 			return
 		case csCompute:
+			sm.state = csAfterBarrier
 			if !rt.barrier.Arrive(p) {
-				sm.since = p.Now()
-				sm.state = csBarrierWoken
 				return
 			}
-			sm.state = csAfterBarrier
-		case csBarrierWoken:
-			rt.barrier.Waited += p.Now() - sm.since
-			sm.state = csAfterBarrier
 		case csAfterBarrier:
 			if rt.commExtra > 0 {
 				if sm.g == 0 {
@@ -495,9 +547,6 @@ func (sm *consumerSM) step(p *sim.Proc) {
 		case csComm:
 			sm.it++
 			sm.state = csLoop
-		case csEpochBarrierWoken:
-			rt.epochBarrier.Waited += p.Now() - sm.since
-			sm.state = csEpochDone
 		case csEpochDone:
 			sm.epoch++
 			if sm.epoch >= cfg.Epochs {
