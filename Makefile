@@ -11,7 +11,7 @@ COVER_PKGS  ?= internal/cache internal/loader internal/server internal/query int
 # binaries); git-ignored, removed by clean.
 BUILD_DIR ?= build
 
-.PHONY: all build test cover lint bench bench3 bench4 bench5 allocguard perfcheck profile suite speccheck querycheck servesmoke distsmoke crashsmoke memosmoke tracesmoke experiments-md clean
+.PHONY: all build test cover lint bench allocguard perfcheck profile suite speccheck querycheck servesmoke distsmoke crashsmoke memosmoke tracesmoke experiments-md clean
 
 all: lint build test
 
@@ -67,7 +67,7 @@ perfcheck:
 # mem.pprof. Inspect with `go tool pprof -top cpu.pprof` (or mem.pprof
 # with -sample_index=alloc_objects for allocation counts).
 profile:
-	$(GO) run ./cmd/stallbench -run all -parallel 1 -cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
+	$(GO) run ./cmd/runsuite -parallel 1 -q -cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
 	@echo "wrote cpu.pprof mem.pprof"
 
 # Full experiment suite, fanned across all CPUs; one run emits both the
@@ -98,23 +98,11 @@ querycheck:
 	cmp testdata/queries/epoch-stalls.golden $(BUILD_DIR)/epoch-stalls.ndjson
 	@echo "querycheck: example query output matches goldens"
 
-# Job-service bench: HTTP submit->complete latency and /events fan-out
-# delivery throughput at 1/4/16 concurrent subscribers, written to
-# BENCH_3.json.
-bench3:
-	$(GO) run ./cmd/stallbench -bench3 -bench3-out BENCH_3.json
-
 # End-to-end smoke of the HTTP job service: boot stallserved, submit the
 # committed example scenario, stream its events to completion, cancel a
 # second job mid-run, reconcile /metrics, and SIGTERM-drain cleanly.
 servesmoke:
 	BUILD_DIR=$(BUILD_DIR) ./scripts/servesmoke.sh
-
-# Coordinator-mode bench: one spec grid on a single node vs scattered
-# across 1/2/4 in-process workers, every fleet report byte-checked against
-# the single-node one, written to BENCH_4.json.
-bench4:
-	$(GO) run ./cmd/stallbench -bench4 -bench4-out BENCH_4.json
 
 # Distributed-mode smoke: a coordinator plus two real stallserved worker
 # processes run the same sweep as a single node; the scattered report —
@@ -144,11 +132,6 @@ memosmoke:
 # and the committed golden (testdata/traces/fig5-topology.golden).
 tracesmoke:
 	BUILD_DIR=$(BUILD_DIR) ./scripts/tracesmoke.sh
-
-# Memoization bench: cold-vs-warm suite wall and a 100-case sweep against a
-# 90%-primed cache vs a single case, written to BENCH_5.json.
-bench5:
-	$(GO) run ./cmd/stallbench -bench5 -bench5-out BENCH_5.json
 
 experiments-md:
 	$(GO) run ./cmd/runsuite -md EXPERIMENTS.md

@@ -6,7 +6,7 @@
 //	go test -bench=Fig9a -benchmem
 //
 // Scales are small (ratios are scale-invariant; see DESIGN.md §2); pass the
-// paper-scale path through cmd/stallbench -scale 1 when you have hours.
+// paper-scale path through `runsuite -scale 1` when you have hours.
 package datastall_test
 
 import (

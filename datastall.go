@@ -43,9 +43,6 @@
 //   - runsuite: the full experiment suite in parallel; -json emits the suite
 //     report, -md regenerates EXPERIMENTS.md, -ids selects a subset. CI runs
 //     "make suite" (this binary) and uploads the JSON report as an artifact.
-//   - stallbench: single experiments, or -run all through the same
-//     orchestrator; -bench3/-bench4/-bench5 measure the job service,
-//     coordinator mode and result memoization.
 //   - dsanalyzer: differential stall profiles and what-if questions for one
 //     model, or every model concurrently with -model all.
 //   - coordlsim: one training job, epoch by epoch, under a chosen loader.

@@ -1,17 +1,23 @@
-// The case grid behind a declarative Spec, split into its two halves:
-// enumeration (which cells exist, in which order, resolving to which job)
-// and assembly (turning one result per cell back into the Report). RunSpec
-// is exactly enumerate -> run each cell -> assemble, so any executor that
-// produces the same per-cell trainer.Results in cell order — the in-process
-// loop, the suite orchestrator, or a stallserved coordinator scattering
-// cells across a worker fleet — gathers a Report byte-identical to a
-// single-node run by construction.
+// The case grid behind a declarative Spec, split into three parts:
+// enumeration (which cells exist, in which order, resolving to which job),
+// execution (RunCases, the one executor every run path shares) and
+// assembly (turning one result per cell back into the Report). RunSpec is
+// exactly enumerate -> RunCases -> assemble, and so are the job service's
+// local and coordinator paths — they differ only in the hooks they pass
+// RunCases (WAL resume and logging, remote dispatch) — so every path
+// produces the same per-cell trainer.Results in cell order and gathers a
+// Report byte-identical to a single-node run by construction.
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 
+	"datastall/internal/memo"
+	"datastall/internal/obs"
 	"datastall/internal/stats"
 	"datastall/internal/trainer"
 )
@@ -45,6 +51,177 @@ func EnumerateCases(sp *Spec, o Options) ([]SpecCase, error) {
 		return nil, err
 	}
 	return g.cases(), nil
+}
+
+// CaseHooks are the per-caller seams of RunCases. Every field is optional:
+// the zero value simulates each cell locally, one after another.
+type CaseHooks struct {
+	// Resumed returns a result recovered for the cell, served as is
+	// instead of running it (nil: run the cell).
+	Resumed func(c SpecCase) *trainer.Result
+	// Started is called, in cell order, as each cell that was not resumed
+	// begins.
+	Started func(c SpecCase)
+	// Label adds caller attributes to every cell's case span, after its
+	// row and case axis labels.
+	Label func(c SpecCase, sp obs.Span)
+	// Run executes one unique cell under its case span. nil simulates it
+	// in this process under a simulate span with per-epoch sub-spans.
+	Run func(ctx context.Context, c SpecCase, sp obs.Span) (*trainer.Result, error)
+	// Done receives the result of every cell that was not resumed; fresh
+	// is false for a cell copied from an earlier cell with the same
+	// CaseKey.
+	Done func(c SpecCase, res *trainer.Result, fresh bool)
+	// Observers attach to every local simulation.
+	Observers []trainer.Observer
+	// Inflight bounds the cells running at once. At <= 1 every cell runs
+	// on the calling goroutine.
+	Inflight int
+}
+
+// RunCases is the one case executor: it runs a grid's cells (in the order
+// EnumerateCases returns them) and returns one result per cell, results[i]
+// belonging to cells[i].Index == i. Per cell, in index order: a resumed
+// result is served as is; otherwise the cell is keyed with CaseKey, a cell
+// whose key an earlier cell already has copies that cell's result
+// (case_dedup), and a unique cell runs through o.Memo when one is set, or
+// directly when not. Each cell gets a case span under o.Trace. The first
+// error cancels the remaining cells and is returned.
+func RunCases(ctx context.Context, cells []SpecCase, o Options, h CaseHooks) ([]*trainer.Result, error) {
+	o = o.withDefaults(o.Scale)
+	salt := ""
+	if o.Memo != nil {
+		salt = o.Memo.Salt()
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		firstErr error
+		sem      chan struct{}
+		copies   []func()
+	)
+	if h.Inflight > 1 {
+		sem = make(chan struct{}, h.Inflight)
+	}
+	fail := func(err error) {
+		mu.Lock()
+		if firstErr == nil {
+			firstErr = err
+			cancel()
+		}
+		mu.Unlock()
+	}
+	results := make([]*trainer.Result, len(cells))
+	settle := func(c SpecCase, sp obs.Span, key memo.Key, kerr error) {
+		defer sp.End()
+		res, err := h.run(ctx, c, o, sp, key, kerr)
+		if err != nil {
+			sp.SetAttr("error", err.Error())
+			fail(err)
+			return
+		}
+		results[c.Index] = res
+		if h.Done != nil {
+			h.Done(c, res, true)
+		}
+	}
+	copyCell := func(c SpecCase, from int, sp obs.Span) {
+		defer sp.End()
+		if firstErr != nil {
+			return
+		}
+		results[c.Index] = results[from]
+		sp.Event("case_dedup")
+		if h.Done != nil {
+			h.Done(c, results[from], false)
+		}
+	}
+	seen := map[string]int{}
+	for _, c := range cells {
+		if err := ctx.Err(); err != nil {
+			fail(err)
+			break
+		}
+		sp := o.Trace.StartThread("case")
+		if c.Row != "" {
+			sp.SetAttr("row", c.Row)
+		}
+		if c.Case != "" {
+			sp.SetAttr("case", c.Case)
+		}
+		if h.Label != nil {
+			h.Label(c, sp)
+		}
+		if h.Resumed != nil {
+			if res := h.Resumed(c); res != nil {
+				results[c.Index] = res
+				sp.Event("case_resumed")
+				sp.End()
+				continue
+			}
+		}
+		if h.Started != nil {
+			h.Started(c)
+		}
+		key, kerr := CaseKey(c.Job, o, salt)
+		switch from, dup := seen[key.Hash]; {
+		case kerr == nil && dup && sem == nil:
+			// Serially, the earlier cell is already done.
+			copyCell(c, from, sp)
+		case kerr == nil && dup:
+			// With cells in flight, copy once every cell has finished.
+			copies = append(copies, func() { copyCell(c, from, sp) })
+		case sem == nil:
+			seen[key.Hash] = c.Index
+			settle(c, sp, key, kerr)
+		default:
+			seen[key.Hash] = c.Index
+			sem <- struct{}{}
+			wg.Add(1)
+			go func() {
+				defer func() { <-sem; wg.Done() }()
+				settle(c, sp, key, kerr)
+			}()
+		}
+	}
+	wg.Wait()
+	for _, f := range copies {
+		f()
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return results, nil
+}
+
+// run executes one unique cell: through the memo cache when one is set and
+// the cell keyed cleanly, else directly. A key derivation error is a
+// resolution error, which the run surfaces with the cell's own context.
+func (h CaseHooks) run(ctx context.Context, c SpecCase, o Options, sp obs.Span, key memo.Key, kerr error) (*trainer.Result, error) {
+	run := func() (*trainer.Result, error) {
+		if h.Run != nil {
+			return h.Run(ctx, c, sp)
+		}
+		cfg, err := c.Job.build(o)
+		if err != nil {
+			return nil, err
+		}
+		sim := sp.Start("simulate")
+		res, err := trainer.RunContext(ctx, cfg, h.Observers...)
+		if err == nil {
+			traceEpochs(sim, cfg, res)
+		}
+		sim.End()
+		return res, err
+	}
+	if o.Memo == nil || kerr != nil {
+		return run()
+	}
+	res, hit, err := o.Memo.Do(ctx, key, run)
+	sp.Event("memo_lookup").SetAttr("hit", strconv.FormatBool(hit))
+	return res, err
 }
 
 // AssembleReport builds the spec's Report from one trainer.Result per grid

@@ -3,8 +3,12 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
+	"datastall/internal/obs"
 	"datastall/internal/trainer"
 )
 
@@ -143,5 +147,111 @@ func TestEnumerateCasesNoSweep(t *testing.T) {
 	}
 	if cells[0].Job.Model != "resnet18" || cells[1].Job.Model != "alexnet" {
 		t.Fatalf("overlaid models %q/%q", cells[0].Job.Model, cells[1].Job.Model)
+	}
+}
+
+// repeatedCells enumerates a 2-row x 2-loader grid whose two rows resolve
+// to the same simulation (prefetch_depth and batch pinned to their
+// defaults): 4 cells, 2 unique cases.
+func repeatedCells(t *testing.T) ([]SpecCase, Options) {
+	t.Helper()
+	sp, err := LoadSpec([]byte(`{
+		"name": "repeats", "row_header": ["variant"],
+		"base": {"model": "resnet18", "server": "config-ssd-v100", "scale": 0.005, "epochs": 2},
+		"rows": {"cases": [
+			{"label": "a", "cells": ["a"], "set": {"prefetch_depth": 3}},
+			{"label": "b", "cells": ["b"], "set": {"batch": 512}}
+		]},
+		"sweep": {"param": "loader", "values": ["dali-shuffle", "coordl"]},
+		"columns": [{"label": "s", "metric": "epoch_s", "of": "coordl"}]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := EnumerateCases(sp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cells, Options{}
+}
+
+// TestRunCasesInflightMatchesSerial: with every cell in flight the executor
+// returns the same results as the serial path, announces cells in index
+// order, and still runs each unique case once and copies the repeats.
+func TestRunCasesInflightMatchesSerial(t *testing.T) {
+	cells, o := repeatedCells(t)
+	var want []byte
+	for _, inflight := range []int{1, len(cells)} {
+		var started []int
+		var mu sync.Mutex
+		fresh, copied := 0, 0
+		results, err := RunCases(context.Background(), cells, o, CaseHooks{
+			Started: func(c SpecCase) { started = append(started, c.Index) },
+			Done: func(c SpecCase, res *trainer.Result, isFresh bool) {
+				mu.Lock()
+				defer mu.Unlock()
+				if isFresh {
+					fresh++
+				} else {
+					copied++
+				}
+			},
+			Inflight: inflight,
+		})
+		if err != nil {
+			t.Fatalf("inflight %d: %v", inflight, err)
+		}
+		if fmt.Sprint(started) != "[0 1 2 3]" {
+			t.Fatalf("inflight %d: cells started in order %v", inflight, started)
+		}
+		if fresh != 2 || copied != 2 {
+			t.Fatalf("inflight %d: %d fresh and %d copied cells, want 2 and 2", inflight, fresh, copied)
+		}
+		got, err := json.Marshal(results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if string(got) != string(want) {
+			t.Fatalf("inflight %d results differ from serial", inflight)
+		}
+	}
+}
+
+// TestRunCasesFirstErrorCancels: the first failing cell's error is
+// returned, serially no later cell starts, and with every cell in flight
+// the others are cancelled and no copy is delivered.
+func TestRunCasesFirstErrorCancels(t *testing.T) {
+	cells, o := repeatedCells(t)
+	boom := errors.New("boom")
+	for _, inflight := range []int{1, len(cells)} {
+		var mu sync.Mutex
+		started, done := 0, 0
+		_, err := RunCases(context.Background(), cells, o, CaseHooks{
+			Started: func(SpecCase) { started++ },
+			Run: func(ctx context.Context, c SpecCase, _ obs.Span) (*trainer.Result, error) {
+				if c.Index == 0 {
+					return nil, boom
+				}
+				<-ctx.Done()
+				return nil, ctx.Err()
+			},
+			Done: func(SpecCase, *trainer.Result, bool) {
+				mu.Lock()
+				done++
+				mu.Unlock()
+			},
+			Inflight: inflight,
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("inflight %d: error %v, want the first cell's", inflight, err)
+		}
+		if done != 0 {
+			t.Fatalf("inflight %d: %d cells delivered after a failure", inflight, done)
+		}
+		if inflight == 1 && started != 1 {
+			t.Fatalf("serial run started %d cells after the first failed", started)
+		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strconv"
 
 	"datastall/internal/cluster"
 	"datastall/internal/dataset"
@@ -549,81 +548,29 @@ func RunSpec(ctx context.Context, sp *Spec, o Options, obs ...trainer.Observer) 
 }
 
 // RunSpecProgress is RunSpec with a per-case hook: progress (when non-nil)
-// is called synchronously just before each cell's simulation starts. The
-// report is identical to RunSpec's — the hook only observes.
+// is called synchronously just before each cell starts. The report is
+// identical to RunSpec's — the hook only observes.
 //
 // The implementation is literally the grid split: enumerate the cells, run
-// each in order, assemble — the same two halves a distributed executor
-// (EnumerateCases/AssembleReport) uses, which is what makes a scattered
-// sweep's gathered report byte-identical to this single-node loop.
-// Two memoization layers ride on top without changing the report: grids
-// with repeated axis values run each unique case once and copy the result
-// into every duplicate cell (keys from CaseKey, so "identical" means
-// identical *resolved* config), and with Options.Memo set, unique cases
-// are looked up in — and their fresh results stored into — the
-// content-addressed result cache before simulating.
+// them through RunCases, assemble — the same three parts the job service
+// runs locally and across a worker fleet, which is what makes every path's
+// report byte-identical to this one. RunCases runs each unique resolved
+// case of the grid once and, with Options.Memo set, looks it up in (and
+// stores it into) the content-addressed result cache first.
 func RunSpecProgress(ctx context.Context, sp *Spec, o Options, progress func(CaseProgress), obs ...trainer.Observer) (*Report, error) {
 	g, err := newSpecGrid(sp, o)
 	if err != nil {
 		return nil, err
 	}
-	salt := ""
-	if g.o.Memo != nil {
-		salt = g.o.Memo.Salt()
-	}
-	seen := map[string]int{}
-	results := make([]*trainer.Result, g.total())
-	for _, c := range g.cases() {
-		if progress != nil {
+	h := CaseHooks{Observers: obs}
+	if progress != nil {
+		h.Started = func(c SpecCase) {
 			progress(CaseProgress{Row: c.Row, Case: c.Case, Index: c.Index, Total: c.Total})
 		}
-		caseSpan := g.o.Trace.StartThread("case")
-		caseSpan.SetAttr("row", c.Row)
-		if c.Case != "" {
-			caseSpan.SetAttr("case", c.Case)
-		}
-		key, kerr := CaseKey(c.Job, g.o, salt)
-		if kerr == nil {
-			if first, ok := seen[key.Hash]; ok {
-				results[c.Index] = results[first]
-				caseSpan.Event("case_dedup")
-				caseSpan.End()
-				continue
-			}
-		}
-		run := func() (*trainer.Result, error) {
-			cfg, err := c.Job.build(g.o)
-			if err != nil {
-				return nil, err
-			}
-			sim := caseSpan.Start("simulate")
-			res, err := trainer.RunContext(ctx, cfg, obs...)
-			if err == nil {
-				TraceEpochs(sim, cfg, res)
-			}
-			sim.End()
-			return res, err
-		}
-		var res *trainer.Result
-		if g.o.Memo != nil && kerr == nil {
-			var hit bool
-			res, hit, err = g.o.Memo.Do(ctx, key, run)
-			caseSpan.Event("memo_lookup").SetAttr("hit", strconv.FormatBool(hit))
-		} else {
-			// A key derivation error is a resolution error; run() surfaces
-			// the same failure with the cell's own context attached.
-			res, err = run()
-		}
-		if err != nil {
-			caseSpan.SetAttr("error", err.Error())
-			caseSpan.End()
-			return nil, err
-		}
-		caseSpan.End()
-		if kerr == nil {
-			seen[key.Hash] = c.Index
-		}
-		results[c.Index] = res
+	}
+	results, err := RunCases(ctx, g.cases(), g.o, h)
+	if err != nil {
+		return nil, err
 	}
 	return g.assemble(results)
 }

@@ -108,7 +108,77 @@ func runGolden(t *testing.T) goldenArtifacts {
 	if len(g.records) < 8 {
 		t.Fatalf("golden wal has only %d records: %+v", len(g.records), g.records)
 	}
+	if err := lifecycleOrder(g.records); err != nil {
+		t.Fatalf("golden wal: %v", err)
+	}
 	return g
+}
+
+// lifecycleOrder checks that every job's records come in lifecycle order:
+// submitted < started < case_done* < terminal, with cancel_requested
+// anywhere after submitted. started is optional (a job cancelled while
+// queued never starts), and only cancel_requested may follow terminal (a
+// DELETE can race the worker's terminal record).
+func lifecycleOrder(records []wal.Record) error {
+	// allowed lists, per job's latest lifecycle record, what may follow it.
+	allowed := map[wal.Type][]wal.Type{
+		"":                {wal.TypeSubmitted},
+		wal.TypeSubmitted: {wal.TypeStarted, wal.TypeTerminal},
+		wal.TypeStarted:   {wal.TypeCaseDone, wal.TypeTerminal},
+		wal.TypeCaseDone:  {wal.TypeCaseDone, wal.TypeTerminal},
+		wal.TypeTerminal:  nil,
+	}
+	last := map[string]wal.Type{}
+	for i, r := range records {
+		prev := last[r.JobID]
+		if r.Type == wal.TypeCancelRequested && prev != "" {
+			continue
+		}
+		ok := false
+		for _, next := range allowed[prev] {
+			ok = ok || r.Type == next
+		}
+		if !ok {
+			after := "as its first record"
+			if prev != "" {
+				after = "after " + string(prev)
+			}
+			return fmt.Errorf("record %d: job %s logs %s %s", i, r.JobID, r.Type, after)
+		}
+		last[r.JobID] = r.Type
+	}
+	return nil
+}
+
+// TestLifecycleOrderRejectsMisorderedStreams: the checker flags each way a
+// stream can break lifecycle order, including a worker's started record
+// overtaking its submitted record.
+func TestLifecycleOrderRejectsMisorderedStreams(t *testing.T) {
+	rec := func(typ wal.Type, id string) wal.Record { return wal.Record{Type: typ, JobID: id} }
+	good := []wal.Record{
+		rec(wal.TypeSubmitted, "a"), rec(wal.TypeSubmitted, "b"),
+		rec(wal.TypeStarted, "a"), rec(wal.TypeCancelRequested, "b"),
+		rec(wal.TypeCaseDone, "a"), rec(wal.TypeTerminal, "b"),
+		rec(wal.TypeCaseDone, "a"), rec(wal.TypeTerminal, "a"),
+		rec(wal.TypeCancelRequested, "a"),
+	}
+	if err := lifecycleOrder(good); err != nil {
+		t.Fatalf("valid stream rejected: %v", err)
+	}
+	for name, bad := range map[string][]wal.Record{
+		"started first":          {rec(wal.TypeStarted, "a"), rec(wal.TypeSubmitted, "a")},
+		"cancel first":           {rec(wal.TypeCancelRequested, "a")},
+		"case before started":    {rec(wal.TypeSubmitted, "a"), rec(wal.TypeCaseDone, "a")},
+		"submitted twice":        {rec(wal.TypeSubmitted, "a"), rec(wal.TypeSubmitted, "a")},
+		"started twice":          {rec(wal.TypeSubmitted, "a"), rec(wal.TypeStarted, "a"), rec(wal.TypeStarted, "a")},
+		"case after terminal":    {rec(wal.TypeSubmitted, "a"), rec(wal.TypeStarted, "a"), rec(wal.TypeTerminal, "a"), rec(wal.TypeCaseDone, "a")},
+		"terminal twice":         {rec(wal.TypeSubmitted, "a"), rec(wal.TypeTerminal, "a"), rec(wal.TypeTerminal, "a")},
+		"started after terminal": {rec(wal.TypeSubmitted, "a"), rec(wal.TypeTerminal, "a"), rec(wal.TypeStarted, "a")},
+	} {
+		if lifecycleOrder(bad) == nil {
+			t.Errorf("%s: misordered stream accepted", name)
+		}
+	}
 }
 
 // unitVersion is the durability version of one job within a record slice:

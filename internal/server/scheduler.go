@@ -67,6 +67,7 @@ func (s *Server) startWorkers() {
 		go func() {
 			defer s.wg.Done()
 			for j := range s.queue {
+				<-s.slots
 				s.runOne(j)
 			}
 		}()
@@ -74,13 +75,15 @@ func (s *Server) startWorkers() {
 }
 
 // submit registers a new job and enqueues it; the caller has already
-// resolved and validated the workload. Ordering matters three ways: the
+// resolved and validated the workload. Ordering matters four ways: the
 // queued gauge moves before the enqueue (a worker decrements it only after
 // receiving, so it can never go negative; a gauge may be rolled back), the
-// submitted counter moves only after the enqueue succeeds (Prometheus
-// counters must be monotone, and no one else touches it), and the job
-// enters the store only after the enqueue succeeds (a rejected submission
-// is never visible, so nothing can race a DELETE against the rollback).
+// submitted counter moves only once a queue slot is reserved (Prometheus
+// counters must be monotone, and no one else touches it), the job enters
+// the store only once the slot is reserved (a rejected submission is never
+// visible or logged, so nothing can race a DELETE against the rollback),
+// and the submitted record is appended before the job is handed to the
+// queue (no worker can log started ahead of it).
 func (s *Server) submit(tenant, traceID string, build func(id string) *Job) (*Job, error) {
 	s.submitMu.RLock()
 	defer s.submitMu.RUnlock()
@@ -96,7 +99,7 @@ func (s *Server) submit(tenant, traceID string, build func(id string) *Job) (*Jo
 	s.openTrace(j, traceID, false)
 	s.metrics.queued.Add(1)
 	select {
-	case s.queue <- j:
+	case s.slots <- struct{}{}:
 	default:
 		s.metrics.queued.Add(-1)
 		s.releaseTenant(tenant)
@@ -107,6 +110,7 @@ func (s *Server) submit(tenant, traceID string, build func(id string) *Job) (*Jo
 	// Logged after the job is visible and before the 202: under -fsync
 	// always, an acknowledged submission survives any crash.
 	s.walSubmitted(j)
+	s.queue <- j // never blocks: the reserved slot keeps room for it
 	j.log.Info("job queued", "kind", j.Kind, "name", j.Name)
 	return j, nil
 }
@@ -160,7 +164,9 @@ func (s *Server) runOne(j *Job) {
 	s.finishRun(j, rep, res, err)
 }
 
-// execute runs the job's workload with panic isolation, streaming events
+// execute runs the job's workload with panic isolation: a spec's grid, or
+// a single job as a one-cell grid, through the case executor — simulated
+// here, or dispatched to the fleet in coordinator mode — streaming events
 // through the job's broadcaster.
 func (s *Server) execute(ctx context.Context, j *Job, runSpan obs.Span) (rep *experiments.Report, res *trainer.Result, err error) {
 	defer func() {
@@ -171,30 +177,86 @@ func (s *Server) execute(ctx context.Context, j *Job, runSpan obs.Span) (rep *ex
 	if s.cfg.runJob != nil {
 		return s.cfg.runJob(ctx, j)
 	}
-	if s.coord != nil {
-		// Coordinator mode: the workload runs on the fleet; this worker
-		// goroutine only scatters, polls, and gathers. The panic isolation
-		// above still applies. Recovered cells short-circuit inside the
-		// coordinator's scatter loop exactly as they do locally.
-		switch j.Kind {
-		case KindSpec:
-			rep, err = s.coordRunSpec(ctx, j, runSpan)
-		case KindJob:
-			res, err = s.coordRunJob(ctx, j, runSpan)
-		default:
-			err = fmt.Errorf("job %s: unknown kind %q", j.ID, j.Kind)
-		}
-		return rep, res, err
-	}
+	var cells []experiments.SpecCase
 	switch j.Kind {
 	case KindSpec:
-		rep, err = s.runSpecLocal(ctx, j, runSpan)
+		if cells, err = experiments.EnumerateCases(j.spec, j.opts); err != nil {
+			return nil, nil, err
+		}
 	case KindJob:
-		res, err = s.runJobLocal(ctx, j, runSpan)
+		if j.jobSpec == nil {
+			return nil, nil, fmt.Errorf("job %s: no job spec retained to run", j.ID)
+		}
+		cells = []experiments.SpecCase{{Total: 1, Job: *j.jobSpec}}
 	default:
-		err = fmt.Errorf("job %s: unknown kind %q", j.ID, j.Kind)
+		return nil, nil, fmt.Errorf("job %s: unknown kind %q", j.ID, j.Kind)
 	}
-	return rep, res, err
+	o := j.opts
+	o.Memo, o.Trace = s.memo, runSpan
+	results, err := experiments.RunCases(ctx, cells, o, s.caseHooks(j, len(cells)))
+	if err != nil {
+		return nil, nil, err
+	}
+	if j.Kind == KindJob {
+		return nil, results[0], nil
+	}
+	assemble := runSpan.Start("assemble")
+	rep, err = experiments.AssembleReport(j.spec, j.opts, results)
+	assemble.End()
+	return rep, nil, err
+}
+
+// caseHooks adapts the case executor to one job: cells recovered from the
+// WAL are served from it, every settled cell is logged as case_done, a
+// spec's cells are announced on its event stream, and in coordinator mode
+// every cell is dispatched to the fleet at once (the per-worker in-flight
+// semaphores bound the wire) instead of simulated here.
+func (s *Server) caseHooks(j *Job, n int) experiments.CaseHooks {
+	starts := make([]time.Time, n)
+	h := experiments.CaseHooks{
+		Resumed: func(c experiments.SpecCase) *trainer.Result {
+			res := j.resumed(c.Index)
+			if res != nil {
+				s.metrics.walResumedCases.Add(1)
+				s.announce(j, "case_resumed", c)
+			}
+			return res
+		},
+		Started: func(c experiments.SpecCase) {
+			starts[c.Index] = time.Now()
+			s.announce(j, "case_started", c)
+		},
+		Done: func(c experiments.SpecCase, res *trainer.Result, fresh bool) {
+			s.walCaseDone(j, c.Index, res)
+			if fresh {
+				s.metrics.caseSecs.Observe(time.Since(starts[c.Index]).Seconds())
+			}
+		},
+		Observers: []trainer.Observer{
+			trainer.ObserverFunc(func(trainer.Event) { s.metrics.events.Add(1) }), j.bc,
+		},
+		Inflight: 1,
+	}
+	if s.coord != nil {
+		h.Label = func(c experiments.SpecCase, sp obs.Span) { sp.SetAttr("case_key", caseKey(j, c)) }
+		h.Run = s.coordRun(j)
+		h.Inflight = n
+	}
+	return h
+}
+
+// announce streams a spec cell's progress annotation; a single job has no
+// grid to report progress through.
+func (s *Server) announce(j *Job, kind string, c experiments.SpecCase) {
+	if j.Kind != KindSpec {
+		return
+	}
+	text := "row=" + c.Row
+	if c.Case != "" {
+		text += " case=" + c.Case
+	}
+	s.metrics.events.Add(1)
+	j.bc.Observe(trainer.Annotation{Kind: kind, Text: text, Index: c.Index, Total: c.Total})
 }
 
 // finishRun records a finished run's terminal state. If a DELETE already

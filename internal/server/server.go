@@ -148,7 +148,10 @@ type Server struct {
 	workers int
 	log     *slog.Logger
 
+	// queue feeds the workers; slots holds one token per queued job, so
+	// a submission reserves its place before it is logged and enqueued.
 	queue     chan *Job
+	slots     chan struct{}
 	wg        sync.WaitGroup
 	submitMu  sync.RWMutex
 	draining  bool
@@ -203,6 +206,7 @@ func New(cfg Config) (*Server, error) {
 		store:        newStore(),
 		metrics:      newMetrics(),
 		queue:        make(chan *Job, cfg.QueueDepth),
+		slots:        make(chan struct{}, cfg.QueueDepth),
 		start:        time.Now(),
 		tenantActive: map[string]int{},
 		log:          cfg.Log,

@@ -365,6 +365,13 @@ func TestStoreEvictsTerminalRecords(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
+	// Eviction runs just after close(j.done), so waitTerminal can return
+	// before it; a drain returns only once every worker has finished it.
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if !srv.Drain(ctx) {
+		t.Fatal("drain was forced")
+	}
 	if n := srv.store.count(); n != 2 {
 		t.Fatalf("store holds %d records, want 2", n)
 	}

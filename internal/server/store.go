@@ -64,9 +64,11 @@ type Job struct {
 	Name string
 
 	// Workload, resolved at submission time (immutable). jobSpec is the
-	// original KindJob submission, retained so coordinator mode can
-	// forward it to a worker verbatim; tenant is the submitting X-Tenant
-	// (empty: anonymous), counted against Config.TenantQuota.
+	// original KindJob submission, retained because a single job runs as
+	// a one-cell grid over it (and coordinator mode forwards it to a
+	// worker verbatim); cfg is its resolved config, which the case capture
+	// reports; tenant is the submitting X-Tenant (empty: anonymous),
+	// counted against Config.TenantQuota.
 	spec    *experiments.Spec
 	cfg     trainer.Config
 	opts    experiments.Options
