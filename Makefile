@@ -11,7 +11,7 @@ COVER_PKGS  ?= internal/cache internal/loader internal/server internal/query int
 # binaries); git-ignored, removed by clean.
 BUILD_DIR ?= build
 
-.PHONY: all build test cover lint bench allocguard perfcheck profile suite speccheck querycheck servesmoke distsmoke crashsmoke memosmoke tracesmoke experiments-md clean
+.PHONY: all build test cover lint bench allocguard perfcheck benchledger profile suite speccheck querycheck servesmoke distsmoke crashsmoke memosmoke tracesmoke experiments-md clean
 
 all: lint build test
 
@@ -62,6 +62,23 @@ allocguard:
 perfcheck:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
+
+# The benchmark ledger: one default run (seed 1, 20 s, untraced) of every
+# BENCHMARK.json workload, keyed by workload in BENCH_6.json as the run's
+# host fingerprint (its `host` line) and its result (its last line, one
+# JSON object). A speedup is cited from this file. Takes a few minutes:
+# four 20 s timed phases plus set-up and the benchmark build.
+benchledger:
+	@mkdir -p $(BUILD_DIR)
+	@set -e; sep='{'; for w in suite-cold paper-sweep service-mixed fleet-sweep; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 20 --trace 0 > $(BUILD_DIR)/bench-$$w.out; \
+		host=$$(sed -n 's/^host //p' $(BUILD_DIR)/bench-$$w.out); \
+		line=$$(tail -n 1 $(BUILD_DIR)/bench-$$w.out); \
+		case "$$host|$$line" in '{'*'}|{'*'}') ;; *) echo "benchledger: $$w printed no host line or JSON result" >&2; exit 1;; esac; \
+		printf '%s\n"%s": {"host": %s,\n  "result": %s}' "$$sep" "$$w" "$$host" "$$line"; sep=','; \
+	done > $(BUILD_DIR)/BENCH_6.json; printf '\n}\n' >> $(BUILD_DIR)/BENCH_6.json
+	mv $(BUILD_DIR)/BENCH_6.json BENCH_6.json
+	@echo "wrote BENCH_6.json"
 
 # CPU + allocation profiles of one serial full-suite run -> cpu.pprof,
 # mem.pprof. Inspect with `go tool pprof -top cpu.pprof` (or mem.pprof

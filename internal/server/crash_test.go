@@ -48,7 +48,7 @@ type goldenArtifacts struct {
 }
 
 // outputJSON extracts one field's raw JSON from GET /v1/jobs/{id}.
-func outputJSON(t *testing.T, tsURL, id, field string) string {
+func outputJSON(t testing.TB, tsURL, id, field string) string {
 	t.Helper()
 	resp, body := getJSON(t, tsURL+"/v1/jobs/"+id)
 	if resp.StatusCode != http.StatusOK {
@@ -64,7 +64,7 @@ func outputJSON(t *testing.T, tsURL, id, field string) string {
 	return string(m[field])
 }
 
-func queryBody(t *testing.T, tsURL string) string {
+func queryBody(t testing.TB, tsURL string) string {
 	t.Helper()
 	resp, body := getJSON(t, tsURL+"/v1/query?q="+url.QueryEscape(crashQuery))
 	if resp.StatusCode != http.StatusOK {
@@ -81,7 +81,7 @@ func queryBody(t *testing.T, tsURL string) string {
 // "a prefix ending at the spec's first case_done holds exactly one
 // interrupted job" — hold on every machine, not just ones where the
 // second submission happens to lose the race against the first case.
-func runGolden(t *testing.T) goldenArtifacts {
+func runGolden(t testing.TB) goldenArtifacts {
 	t.Helper()
 	g := goldenArtifacts{walDir: filepath.Join(t.TempDir(), "wal")}
 	srv, ts := newTestServer(t, Config{Workers: 1, WALDir: g.walDir})
@@ -507,52 +507,25 @@ func TestWALSurvivesRestartWithNewSubmissions(t *testing.T) {
 	}
 }
 
-// TestSnapshotMigratesIntoWAL: a legacy -persist snapshot loads next to
-// the WAL and the first compaction folds it into the checkpoint, so the
-// snapshot directory can be dropped afterwards.
-func TestSnapshotMigratesIntoWAL(t *testing.T) {
-	persistDir := t.TempDir()
-	walDir := filepath.Join(t.TempDir(), "wal")
-
-	// Run 1: snapshots only (the legacy deployment).
-	srv1, ts1 := newTestServer(t, Config{Workers: 1, PersistDir: persistDir})
-	id1 := submitID(t, ts1, tinyJob)
-	if st := waitTerminal(t, srv1, id1, 60*time.Second); st != StatusCompleted {
-		t.Fatalf("job %s ended %s", id1, st)
-	}
-	result1 := outputJSON(t, ts1.URL, id1, "result")
-	ts1.Close()
-	srv1.Close()
-
-	// Run 2: both flags during the migration window; a new job's terminal
-	// triggers compaction, which gathers the snapshot-loaded job too.
-	srv2, ts2 := newTestServer(t, Config{Workers: 1, PersistDir: persistDir, WALDir: walDir, WALCompactEvery: 1})
-	if got := outputJSON(t, ts2.URL, id1, "result"); got != result1 {
-		t.Fatal("snapshot job not loaded in migration run")
-	}
-	id2 := submitID(t, ts2, tinyJob)
-	if st := waitTerminal(t, srv2, id2, 60*time.Second); st != StatusCompleted {
-		t.Fatalf("job %s ended %s", id2, st)
-	}
-	ts2.Close()
-	srv2.Close()
-
-	// Run 3: WAL only — the snapshot history must have migrated.
-	srv3, ts3 := newTestServer(t, Config{Workers: 1, WALDir: walDir})
-	defer func() { _ = srv3 }()
-	if got := outputJSON(t, ts3.URL, id1, "result"); got != result1 {
-		t.Fatal("snapshot job lost after migration to WAL-only")
-	}
-}
-
-// TestPersistLoadErrorsCounted: corrupt snapshots are counted in the new
-// metric and on /healthz instead of only being logged.
+// TestPersistLoadErrorsCounted: a WAL record that frames cleanly but whose
+// terminal payload does not decode is skipped, counted in the load-error
+// metric and on /healthz, and does not keep the server from working.
 func TestPersistLoadErrorsCounted(t *testing.T) {
-	dir := t.TempDir()
-	if err := wal.AtomicWriteFile(filepath.Join(dir, "job-000007.json"), []byte("{truncated"), 0o644); err != nil {
+	walDir := filepath.Join(t.TempDir(), "wal")
+	l, _, err := wal.Open(wal.Options{Dir: walDir})
+	if err != nil {
 		t.Fatal(err)
 	}
-	srv, ts := newTestServer(t, Config{Workers: 1, PersistDir: dir})
+	// A JSON string holding a truncated object: the frame and its CRC are
+	// sound, but the payload is no terminal record.
+	if err := l.Append(wal.Record{Type: wal.TypeTerminal, JobID: "job-000007", Payload: []byte(`"{truncated"`)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, ts := newTestServer(t, Config{Workers: 1, WALDir: walDir})
 	if got := srv.metrics.persistLoadErrors.Load(); got != 1 {
 		t.Fatalf("persistLoadErrors = %d, want 1", got)
 	}
@@ -563,5 +536,9 @@ func TestPersistLoadErrorsCounted(t *testing.T) {
 	resp, hz := getJSON(t, ts.URL+"/healthz")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(hz, `"load_errors": 1`) {
 		t.Fatalf("healthz: %d %s", resp.StatusCode, hz)
+	}
+	id := submitID(t, ts, tinyJob)
+	if st := waitTerminal(t, srv, id, 60*time.Second); st != StatusCompleted {
+		t.Fatalf("job %s after a skipped record ended %s", id, st)
 	}
 }

@@ -301,12 +301,13 @@ func (s *Server) finishRun(j *Job, rep *experiments.Report, res *trainer.Result,
 	j.logger().Info("job finished", "status", string(st), "wall_seconds", j.wall)
 }
 
-// finalize closes the job's event stream, accounts its drops, logs and
-// snapshots its terminal state, and signals Done. Exactly one caller
-// reaches it per job: the worker via finishRun, or the DELETE handler for
-// a job cancelled out of the queue. The terminal WAL record lands before
-// done closes, so anything that waits on Done() observes a state that is
-// already durable (under -fsync always).
+// finalize closes the job's event stream, accounts its drops, logs its
+// terminal state, frees its tenant slot, and signals Done. Exactly one
+// caller reaches it per job: the worker via finishRun, or the DELETE
+// handler for a job cancelled out of the queue. The terminal WAL record
+// lands before done closes, so anything that waits on Done() observes a
+// state that is already durable (under -fsync always), and a tenant that
+// resubmits once Done() closes is not refused for the finished job.
 func (s *Server) finalize(j *Job) {
 	if j.bc != nil {
 		j.bc.Close()
@@ -316,17 +317,12 @@ func (s *Server) finalize(j *Job) {
 	j.walFinal = true
 	j.mu.Unlock()
 	s.walTerminal(j)
-	if s.cfg.PersistDir != "" {
-		if err := persistJob(s.cfg.PersistDir, j); err != nil {
-			j.logger().Warn("persist failed", "error", err)
-		}
-	}
 	s.endTrace(j)
-	close(j.done)
 	if j.quotaHeld {
 		j.quotaHeld = false
 		s.releaseTenant(j.tenant)
 	}
+	close(j.done)
 	s.store.evictTerminal(s.cfg.MaxRecords)
 }
 

@@ -43,7 +43,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,18 +70,16 @@ type Config struct {
 	// retains (<= 0: 4096); beyond it, oldest terminal records are
 	// evicted so a long-running service cannot grow without bound.
 	// Metrics counters are totals and are unaffected; queued/running jobs
-	// are never evicted; persisted snapshots stay on disk.
+	// are never evicted; evicted jobs stay in the WAL until compaction.
+	// A WAL replay larger than MaxRecords is trimmed at load.
 	MaxRecords int
-	// PersistDir, when set, snapshots every terminal job to
-	// <dir>/<id>.json and reloads snapshots on startup.
-	PersistDir string
 	// WALDir, when set, write-ahead-logs the full job lifecycle
 	// (submitted, started, case_done, cancel_requested, terminal) to
-	// rotating segments under this directory. On startup the clean prefix
-	// is replayed: terminal jobs rehydrate with their history, interrupted
-	// jobs re-enqueue and resume their sweeps from the last logged case.
-	// Snapshots (PersistDir) still load, so both may be set during a
-	// migration; the first compaction folds snapshot history into the WAL.
+	// rotating segments under this directory; it is the only way a job
+	// survives a restart (empty: jobs live in memory only). On startup the
+	// clean prefix is replayed: terminal jobs rehydrate with their history,
+	// interrupted jobs re-enqueue and resume their sweeps from the last
+	// logged case.
 	WALDir string
 	// WALFsync is the log's durability policy (default: fsync per append).
 	WALFsync wal.FsyncPolicy
@@ -186,8 +183,9 @@ type Server struct {
 	tenantActive map[string]int
 }
 
-// New builds a Server and starts its worker pool. PersistDir (when set) is
-// created if missing and existing snapshots are loaded as completed jobs.
+// New builds a Server and starts its worker pool. With WALDir set, the log
+// is opened (created if missing) and replayed before any worker starts:
+// finished jobs are served again and interrupted ones re-enqueued.
 func New(cfg Config) (*Server, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
@@ -233,7 +231,6 @@ func New(cfg Config) (*Server, error) {
 		s.log.Info("memo cache open", "dir", cfg.MemoDir,
 			"disk_entries", st.DiskEntries, "disk_bytes", st.DiskBytes, "salt", mc.Salt())
 	}
-	loadErrs := 0
 	var pending []*Job
 	if cfg.WALDir != "" {
 		l, rec, err := wal.Open(wal.Options{
@@ -247,30 +244,17 @@ func New(cfg Config) (*Server, error) {
 		s.wal = l
 		var replayErrs int
 		pending, replayErrs = s.replayWAL(rec.Records)
-		loadErrs += rec.LoadErrors + replayErrs
+		loadErrs := rec.LoadErrors + replayErrs
 		s.walInfo.records = len(rec.Records)
 		s.walInfo.segments = rec.Segments
 		s.walInfo.truncated = rec.Truncated
 		s.walInfo.resumedJobs = len(pending)
-	}
-	if cfg.PersistDir != "" {
-		if err := os.MkdirAll(cfg.PersistDir, 0o755); err != nil {
-			return nil, fmt.Errorf("server: persist dir: %w", err)
-		}
-		// Loaded after WAL replay: on an ID collision the WAL's richer
-		// record wins (insertLoaded keeps the first insertion).
-		loadErrs += loadPersisted(cfg.PersistDir, s.store, s.log)
-	}
-	if cfg.WALDir != "" || cfg.PersistDir != "" {
 		s.metrics.persistLoadErrors.Add(int64(loadErrs))
 		s.store.evictTerminal(cfg.MaxRecords)
-		summary := fmt.Sprintf("persist: recovered %d job(s) (%d load error(s))", s.store.count(), loadErrs)
-		if s.wal != nil {
-			summary += fmt.Sprintf("; wal: %d record(s) in %d segment(s), %d interrupted job(s) to resume",
-				s.walInfo.records, s.walInfo.segments, len(pending))
-			if s.walInfo.truncated != "" {
-				summary += fmt.Sprintf(", truncated torn tail in %s", s.walInfo.truncated)
-			}
+		summary := fmt.Sprintf("persist: recovered %d job(s) (%d load error(s)); wal: %d record(s) in %d segment(s), %d interrupted job(s) to resume",
+			s.store.count(), loadErrs, s.walInfo.records, s.walInfo.segments, len(pending))
+		if s.walInfo.truncated != "" {
+			summary += fmt.Sprintf(", truncated torn tail in %s", s.walInfo.truncated)
 		}
 		// The summary stays one composed message: recovery tooling greps
 		// for its exact phrasing.
@@ -553,23 +537,20 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"load_errors":  st.LoadErrors,
 		}
 	}
-	if s.cfg.WALDir != "" || s.cfg.PersistDir != "" {
-		persist := map[string]interface{}{
+	if s.wal != nil {
+		walBlock := map[string]interface{}{
+			"records":      s.walInfo.records,
+			"segments":     s.walInfo.segments,
+			"resumed_jobs": s.walInfo.resumedJobs,
+			"appends":      s.metrics.walAppends.Load(),
+		}
+		if s.walInfo.truncated != "" {
+			walBlock["truncated"] = s.walInfo.truncated
+		}
+		v["persist"] = map[string]interface{}{
 			"load_errors": s.metrics.persistLoadErrors.Load(),
+			"wal":         walBlock,
 		}
-		if s.wal != nil {
-			walBlock := map[string]interface{}{
-				"records":      s.walInfo.records,
-				"segments":     s.walInfo.segments,
-				"resumed_jobs": s.walInfo.resumedJobs,
-				"appends":      s.metrics.walAppends.Load(),
-			}
-			if s.walInfo.truncated != "" {
-				walBlock["truncated"] = s.walInfo.truncated
-			}
-			persist["wal"] = walBlock
-		}
-		v["persist"] = persist
 	}
 	writeJSON(w, http.StatusOK, v)
 }

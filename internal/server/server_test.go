@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,7 +16,7 @@ import (
 
 // newTestServer starts a Server with the given config behind an httptest
 // listener and tears both down with the test.
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	srv, err := New(cfg)
 	if err != nil {
@@ -31,7 +30,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
-func postJSON(t *testing.T, url, body string) (*http.Response, string) {
+func postJSON(t testing.TB, url, body string) (*http.Response, string) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
@@ -45,7 +44,7 @@ func postJSON(t *testing.T, url, body string) (*http.Response, string) {
 	return resp, string(b)
 }
 
-func getJSON(t *testing.T, url string) (*http.Response, string) {
+func getJSON(t testing.TB, url string) (*http.Response, string) {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -78,7 +77,7 @@ func doMethod(t *testing.T, method, url string) (*http.Response, string) {
 }
 
 // submitID submits body and returns the accepted job ID.
-func submitID(t *testing.T, ts *httptest.Server, body string) string {
+func submitID(t testing.TB, ts *httptest.Server, body string) string {
 	t.Helper()
 	resp, got := postJSON(t, ts.URL+"/v1/jobs", body)
 	if resp.StatusCode != http.StatusAccepted {
@@ -94,7 +93,7 @@ func submitID(t *testing.T, ts *httptest.Server, body string) string {
 }
 
 // waitTerminal blocks until the job leaves the queued/running states.
-func waitTerminal(t *testing.T, srv *Server, id string, timeout time.Duration) Status {
+func waitTerminal(t testing.TB, srv *Server, id string, timeout time.Duration) Status {
 	t.Helper()
 	j := srv.store.get(id)
 	if j == nil {
@@ -314,42 +313,6 @@ func TestCancelRaces(t *testing.T) {
 	resp, body = doMethod(t, "DELETE", ts.URL+"/v1/jobs/"+done)
 	if resp.StatusCode != http.StatusConflict || !strings.Contains(body, "already completed") {
 		t.Fatalf("cancel completed: %d %s, want 409 already completed", resp.StatusCode, body)
-	}
-}
-
-func TestPersistRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	srv, ts := newTestServer(t, Config{Workers: 1, PersistDir: dir})
-	id := submitID(t, ts, tinyJob)
-	if st := waitTerminal(t, srv, id, 60*time.Second); st != StatusCompleted {
-		t.Fatalf("job ended %s", st)
-	}
-	_, before := getJSON(t, ts.URL+"/v1/jobs/"+id)
-
-	// A fresh server over the same directory serves the same record.
-	srv2, ts2 := newTestServer(t, Config{Workers: 1, PersistDir: dir})
-	_, after := getJSON(t, ts2.URL+"/v1/jobs/"+id)
-	var b, a jobJSON
-	if err := json.Unmarshal([]byte(before), &b); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal([]byte(after), &a); err != nil {
-		t.Fatal(err)
-	}
-	if a.Status != StatusCompleted || a.Result == nil {
-		t.Fatalf("reloaded job: %+v", a)
-	}
-	if fmt.Sprint(a.Result.EpochTime) != fmt.Sprint(b.Result.EpochTime) {
-		t.Fatalf("reloaded EpochTime %v != original %v", a.Result.EpochTime, b.Result.EpochTime)
-	}
-	// New submissions on the reloaded server must not collide with the
-	// persisted ID space.
-	id2 := submitID(t, ts2, tinyJob)
-	if id2 == id {
-		t.Fatalf("reloaded server reissued id %s", id)
-	}
-	if st := waitTerminal(t, srv2, id2, 60*time.Second); st != StatusCompleted {
-		t.Fatalf("job on reloaded server ended %s", st)
 	}
 }
 

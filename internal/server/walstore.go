@@ -1,10 +1,9 @@
 // WAL integration: the job lifecycle as an append-only record stream
-// (internal/wal), replacing terminal-only snapshots as the durability
-// story. Every client-visible transition appends a record — submitted
-// before the 202, case_done as each grid cell's result is captured,
-// cancel_requested when a DELETE verdict is returned, terminal with the
-// full wire form — so a kill -9 at any point recovers to a state the
-// client was already told about.
+// (internal/wal), the service's only durability path. Every client-visible
+// transition appends a record — submitted before the 202, case_done as each
+// grid cell's result is captured, cancel_requested when a DELETE verdict is
+// returned, terminal with the full wire form — so a kill -9 at any point
+// recovers to a state the client was already told about.
 //
 // Two ordering rules keep the log and memory consistent:
 //
@@ -53,14 +52,11 @@ type walCase struct {
 	Result *trainer.Result `json:"result"`
 }
 
-// The TypeTerminal payload is persistJSON — the exact snapshot form — so
-// replaying a terminal record and loading a legacy snapshot are the same
-// rehydration.
+// The TypeTerminal payload is terminalJSON, rehydrated by jobFromTerminal.
 
 // walAppend appends one record, counting it and tracing it as a
 // wal_append span under the job's root; a write failure is logged, not
-// fatal — the service keeps running on its in-memory state, exactly as a
-// failed snapshot write behaved.
+// fatal — the service keeps running on its in-memory state.
 func (s *Server) walAppend(j *Job, rec wal.Record) {
 	if s.wal == nil {
 		return
@@ -127,7 +123,7 @@ func (s *Server) walTerminal(j *Job) {
 	if s.wal == nil {
 		return
 	}
-	s.walRecord(j, wal.TypeTerminal, persistJSON{jobJSON: *j.view(true), Cases: j.caseResults()})
+	s.walRecord(j, wal.TypeTerminal, terminalJSON{jobJSON: *j.view(true), Cases: j.caseResults()})
 	every := s.cfg.WALCompactEvery
 	if every <= 0 {
 		every = 64
@@ -144,8 +140,6 @@ func (s *Server) walTerminal(j *Job) {
 // walGather renders the store's current state as canonical records — the
 // checkpoint body. Runs with the log lock held (appends stalled); takes
 // store.mu and each job's mu, which is why no append site may hold those.
-// Jobs loaded from legacy snapshots serialize like any other terminal job,
-// so the first compaction migrates snapshot history into the WAL.
 func (s *Server) walGather() []wal.Record {
 	var out []wal.Record
 	add := func(typ wal.Type, id string, payload interface{}) {
@@ -160,16 +154,9 @@ func (s *Server) walGather() []wal.Record {
 		j.mu.Lock()
 		final := j.walFinal
 		j.mu.Unlock()
-		if !final {
-			select {
-			case <-j.done: // loaded-from-snapshot jobs never set walFinal
-				final = true
-			default:
-			}
-		}
 		if final {
 			// Fully captured: one terminal record subsumes its history.
-			add(wal.TypeTerminal, j.ID, persistJSON{jobJSON: *j.view(true), Cases: j.caseResults()})
+			add(wal.TypeTerminal, j.ID, terminalJSON{jobJSON: *j.view(true), Cases: j.caseResults()})
 			continue
 		}
 		j.mu.Lock()
@@ -204,11 +191,11 @@ type walReplayState struct {
 	started   *walStarted
 	cases     map[int]*trainer.Result
 	cancelled bool
-	terminal  *persistJSON
+	terminal  *terminalJSON
 }
 
 // replayWAL folds the recovered record stream into jobs: terminal records
-// rehydrate exactly like snapshots; submitted-but-unfinished jobs come
+// rehydrate finished jobs; submitted-but-unfinished jobs come
 // back as pending, carrying their logged case results to resume from.
 // Malformed or orphaned records count as load errors and are skipped — a
 // corrupt record must not keep the service from starting. Returns the
@@ -259,8 +246,10 @@ func (s *Server) replayWAL(records []wal.Record) (pending []*Job, loadErrs int) 
 		case wal.TypeCancelRequested:
 			state(rec.JobID).cancelled = true
 		case wal.TypeTerminal:
-			var v persistJSON
-			if err := json.Unmarshal(rec.Payload, &v); err != nil || v.ID == "" || !v.Status.Terminal() {
+			// Jobs are keyed by record ID; a payload naming another job
+			// would store that job twice.
+			var v terminalJSON
+			if err := json.Unmarshal(rec.Payload, &v); err != nil || v.ID != rec.JobID || !v.Status.Terminal() {
 				loadErrs++
 				s.log.Warn("wal replay: bad terminal payload", "type", string(rec.Type), "job_id", rec.JobID)
 				continue
@@ -276,7 +265,7 @@ func (s *Server) replayWAL(records []wal.Record) (pending []*Job, loadErrs int) 
 		st := byJob[id]
 		switch {
 		case st.terminal != nil:
-			s.store.insertLoaded(jobFromPersist(*st.terminal))
+			s.store.insertLoaded(jobFromTerminal(*st.terminal))
 		case st.submitted == nil:
 			// started/case_done records whose submitted record was lost to
 			// corruption: nothing to rebuild.
@@ -289,6 +278,7 @@ func (s *Server) replayWAL(records []wal.Record) (pending []*Job, loadErrs int) 
 			j.status = StatusCancelled
 			j.errMsg = "cancelled"
 			j.finished = j.submitted
+			j.walFinal = true
 			j.bc = nil
 			close(j.done)
 			s.store.insertLoaded(j)
